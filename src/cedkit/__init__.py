@@ -22,6 +22,7 @@ from .detector import (
     DetectorMode,
     DetectorParams,
     KeypointSet,
+    PreparedCloud,
     SaliencyField,
     compute_saliency,
     detect,
@@ -29,8 +30,11 @@ from .detector import (
     export_keypoints_csv,
     export_keypoints_ply,
     geometric_centroid,
+    local_maxima,
     multimodal_nms,
     photometric_centroid,
+    prepare,
+    select,
 )
 from .evaluation import (
     AblationRow,
@@ -57,6 +61,7 @@ __all__ = [
     "DetectorParams",
     "KeypointSet",
     "NeighborGraph",
+    "PreparedCloud",
     "RepeatabilityConfig",
     "RepeatabilityReport",
     "RigidTransform",
@@ -79,14 +84,17 @@ __all__ = [
     "export_keypoints_ply",
     "generate_scene",
     "geometric_centroid",
+    "local_maxima",
     "measure_runtime",
     "multimodal_nms",
     "parse_cloud",
     "photometric_centroid",
+    "prepare",
     "radius_neighbors",
     "random_detector",
     "remove_invalid",
     "sample_rigid_transform",
+    "select",
     "sniff_format",
     "voxel_downsample",
     "write_cloud",

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     InvalidTransformError,
     NegativeSigmaError,
+    NonFiniteValueError,
     NonPositiveLeafError,
 )
 
@@ -32,6 +33,16 @@ class ColoredPoint(NamedTuple):
     r: float
     g: float
     b: float
+
+
+def require_finite(values: np.ndarray, what: str) -> None:
+    """Raise NonFiniteValueError unless every value of the (n, k) array is finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        rows = np.nonzero(~finite.all(axis=1))[0]
+        raise NonFiniteValueError(
+            f"{what} of {len(rows)} point(s) hold NaN or infinity, first at point {rows[0]}"
+        )
 
 
 def _frozen_array(values, columns: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cloud import ColoredPointCloud
+from .cloud import ColoredPointCloud, require_finite
 from .errors import (
     CloudFormatError,
     EmptyCloudError,
@@ -73,6 +73,7 @@ def parse_cloud(data: bytes, fmt: CloudFormat, resolution: float = 0.01) -> Colo
         MalformedHeaderError: unreadable or contradictory declarations.
         TruncatedBodyError: fewer records than declared.
         UnsupportedPropertyError: property type or layout outside scope.
+        NonFiniteValueError: a coordinate or color is NaN or infinite.
     """
     if fmt in (CloudFormat.PLY_ASCII, CloudFormat.PLY_BINARY_LE):
         return _parse_ply(data, fmt, resolution)
@@ -190,9 +191,11 @@ def _vertex_layout(elements):
 
 def _extract_columns(table: dict[str, np.ndarray], count: int, resolution: float):
     xyz = np.column_stack([table["x"], table["y"], table["z"]]) if count else np.zeros((0, 3))
+    require_finite(xyz, "coordinates")
     has_color = all(name in table for name in _COLOR_NAMES)
     if has_color and count:
         rgb = np.column_stack([table[c] for c in _COLOR_NAMES]) / 255.0
+        require_finite(rgb, "colors")
     else:
         rgb = np.zeros((count, 3))
     return ColoredPointCloud(xyz, rgb, resolution, has_color)
@@ -348,7 +351,9 @@ def _parse_pcd(data: bytes, resolution: float) -> ColoredPointCloud:
             col = col.astype(np.float32).astype(np.float64)
         columns[name] = col
     xyz = np.column_stack([columns["x"], columns["y"], columns["z"]]) if n_points else np.zeros((0, 3))
+    require_finite(xyz, "coordinates")
     if has_color and n_points:
+        require_finite(columns["rgb"][:, None], "colors")
         packed = columns["rgb"].astype(np.float32).view(np.uint32)
         rgb = np.column_stack(
             [(packed >> 16) & 0xFF, (packed >> 8) & 0xFF, packed & 0xFF]

@@ -3,9 +3,14 @@
 Per point, saliency is the distance from the point to the centroid of its
 strict-radius neighborhood: L2 in geometric space, L1 in RGB space. Both
 measures are invariant to rigid motion because the neighborhood's shape (and
-its colors) move with the query point. Keypoints are the points that pass a
-per-modality threshold filter and whose product of saliencies is not strictly
-beaten by any neighbor.
+its colors) move with the query point. Keypoints are the points whose product of
+saliencies is not strictly beaten by any neighbor and that pass a
+per-modality threshold filter.
+
+Detection is select(prepare(cloud, params), params): prepare does everything
+the thresholds do not affect (index, neighbor graph, saliency fields and the
+local-maximum mask), select applies the thresholds. A threshold sweep thus
+prepares each cloud once.
 
 Points whose neighborhood is smaller than ``min_neighbors`` are marked
 invalid: they are never selected and never suppress anyone.
@@ -14,7 +19,7 @@ invalid: they are never selected and never suppress anyone.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -218,33 +223,27 @@ def compute_saliency(
     return saliency_from_graph(cloud, graph, params)
 
 
-def multimodal_nms(
-    fields: Sequence[SaliencyField],
-    thresholds: Sequence[float],
-    neighborhoods: NeighborGraph,
-) -> np.ndarray:
-    """Select locally best points across one or more saliency modalities.
-
-    A point survives the filter when at least one modality meets its
-    threshold (values are compared with >=), and survives suppression when no
-    neighbor has a strictly greater product of modality values. Equal products
-    do not suppress each other, so a point never suppresses itself. Invalid
-    points are never selected and never suppress others.
-
-    Returns ascending indices of the selected points.
-    """
+def _check_fields(fields: Sequence[SaliencyField], n: int) -> None:
     if len(fields) == 0:
         raise MisalignedFieldsError("need at least one saliency field")
-    if len(thresholds) != len(fields):
-        raise MisalignedFieldsError(
-            f"{len(fields)} fields but {len(thresholds)} thresholds"
-        )
-    n = neighborhoods.n_points
     for field in fields:
         if len(field) != n:
             raise MisalignedFieldsError(
                 f"field of length {len(field)} does not match {n} points"
             )
+
+
+def local_maxima(
+    fields: Sequence[SaliencyField], neighborhoods: NeighborGraph
+) -> np.ndarray:
+    """Mask of the points that suppression keeps, whatever the thresholds.
+
+    A point is kept when it is valid in every field and no valid neighbor has
+    a strictly greater product of field values. Equal products do not
+    suppress each other, so a point never suppresses itself.
+    """
+    n = neighborhoods.n_points
+    _check_fields(fields, n)
 
     valid = fields[0].valid.copy()
     for field in fields[1:]:
@@ -254,49 +253,126 @@ def multimodal_nms(
     for field in fields[1:]:
         product *= field.values
 
-    passes_filter = np.zeros(n, dtype=bool)
-    for field, threshold in zip(fields, thresholds):
-        passes_filter |= field.values >= threshold
-
-    # Suppression: max neighbor product, with invalid points masked out so
-    # they can never beat anyone. Values are non-negative, so -1 is inert.
+    # Max neighbor product, with invalid points masked out so they can never
+    # beat anyone. Values are non-negative, so -1 is inert.
     masked = np.where(valid, product, -1.0)
     neighborhood_max = masked.copy()
     first, second = neighborhoods.pairs[:, 0], neighborhoods.pairs[:, 1]
     np.maximum.at(neighborhood_max, first, masked[second])
     np.maximum.at(neighborhood_max, second, masked[first])
+    return valid & ~(neighborhood_max > product)
 
-    selected = valid & passes_filter & ~(neighborhood_max > product)
-    return np.nonzero(selected)[0].astype(np.int64)
+
+def multimodal_nms(
+    fields: Sequence[SaliencyField],
+    thresholds: Sequence[float],
+    neighborhoods: NeighborGraph | np.ndarray,
+) -> np.ndarray:
+    """Select locally best points across one or more saliency modalities.
+
+    Two steps: suppression keeps the local maxima of the product of modality
+    values (see local_maxima), then the filter keeps those for which at least
+    one modality meets its threshold (values are compared with >=). Invalid
+    points are never selected and never suppress others.
+
+    neighborhoods is the neighbor graph, or the mask that local_maxima has
+    already computed from it for these fields; the mask lets a caller that
+    varies only the thresholds suppress once.
+
+    Returns ascending indices of the selected points.
+    """
+    if len(thresholds) != len(fields):
+        raise MisalignedFieldsError(
+            f"{len(fields)} fields but {len(thresholds)} thresholds"
+        )
+    if isinstance(neighborhoods, NeighborGraph):
+        neighborhoods = local_maxima(fields, neighborhoods)
+    local_max = np.asarray(neighborhoods, dtype=bool)
+    _check_fields(fields, local_max.shape[0])
+
+    passes_filter = np.zeros(local_max.shape[0], dtype=bool)
+    for field, threshold in zip(fields, thresholds):
+        passes_filter |= field.values >= threshold
+    return np.nonzero(local_max & passes_filter)[0].astype(np.int64)
+
+
+@dataclass(frozen=True)
+class PreparedCloud:
+    """The threshold-free part of detection on one cloud; see prepare.
+
+    Holds per-point arrays only. The neighbor graph is not kept: selection
+    needs nothing from it beyond the local-maximum mask.
+
+    params: the parameters the cloud was prepared with.
+    local_max: points that suppression keeps (see local_maxima).
+    """
+
+    params: DetectorParams
+    geometric: SaliencyField
+    photometric: SaliencyField | None
+    local_max: np.ndarray
+
+    def __post_init__(self):
+        local_max = np.asarray(self.local_max, dtype=bool)
+        local_max.setflags(write=False)
+        object.__setattr__(self, "local_max", local_max)
+
+    @property
+    def fields(self) -> list[SaliencyField]:
+        if self.photometric is None:
+            return [self.geometric]
+        return [self.geometric, self.photometric]
+
+
+def prepare(cloud: ColoredPointCloud, params: DetectorParams) -> PreparedCloud:
+    """Everything detection computes before the thresholds apply.
+
+    Builds the index, the neighbor graph and the saliency fields, then the
+    local-maximum mask; geo_threshold and color_threshold are not read.
+    """
+    if params.mode is DetectorMode.CED and not cloud.has_color:
+        raise NoColorError("CED mode needs a colored cloud; use CED_3D instead")
+    graph = build_index(cloud).neighbor_graph(params.radius)
+    geo, photo = saliency_from_graph(cloud, graph, params)
+    if photo is not None and photo.valid.any() and not photo.values[photo.valid].any():
+        logger.warning(
+            "all color saliencies are zero; every filtered-in point ties at "
+            "product 0. CED_3D mode is probably what you want for this cloud."
+        )
+    fields = [geo] if photo is None else [geo, photo]
+    return PreparedCloud(params, geo, photo, local_maxima(fields, graph))
+
+
+def select(prepared: PreparedCloud, params: DetectorParams) -> KeypointSet:
+    """Keypoints of a prepared cloud under the thresholds of params.
+
+    params may differ from the prepared ones in geo_threshold and
+    color_threshold only.
+    """
+    base = prepared.params
+    if replace(params, geo_threshold=base.geo_threshold,
+               color_threshold=base.color_threshold) != base:
+        raise InvalidParamsError(
+            f"cloud was prepared with {base}; select can change only the thresholds"
+        )
+    thresholds = [params.geo_threshold * params.radius]
+    if params.mode is DetectorMode.CED:
+        thresholds.append(params.color_threshold)
+    indices = multimodal_nms(prepared.fields, thresholds, prepared.local_max)
+    return KeypointSet(indices, params)
 
 
 def detect_with_fields(cloud: ColoredPointCloud, params: DetectorParams) -> DetectionResult:
     """Full detection pipeline returning the keypoints and both fields."""
-    if params.mode is DetectorMode.CED and not cloud.has_color:
-        raise NoColorError("CED mode needs a colored cloud; use CED_3D instead")
-    index = build_index(cloud)
-    graph = index.neighbor_graph(params.radius)
-    geo, photo = saliency_from_graph(cloud, graph, params)
-
-    if params.mode is DetectorMode.CED:
-        if photo.valid.any() and not photo.values[photo.valid].any():
-            logger.warning(
-                "all color saliencies are zero; every filtered-in point ties at "
-                "product 0. CED_3D mode is probably what you want for this cloud."
-            )
-        fields = [geo, photo]
-        thresholds = [params.geo_threshold * params.radius, params.color_threshold]
-    else:
-        fields = [geo]
-        thresholds = [params.geo_threshold * params.radius]
-
-    indices = multimodal_nms(fields, thresholds, graph)
-    return DetectionResult(KeypointSet(indices, params), geo, photo)
+    prepared = prepare(cloud, params)
+    return DetectionResult(
+        select(prepared, params), prepared.geometric, prepared.photometric
+    )
 
 
 def detect(cloud: ColoredPointCloud, params: DetectorParams) -> KeypointSet:
-    """Detect keypoints; see detect_with_fields for the saliency values too."""
-    return detect_with_fields(cloud, params).keypoints
+    """Detect keypoints: select(prepare(cloud, params), params)."""
+    return select(prepare(cloud, params), params)
 
 
 def export_keypoints_csv(

@@ -21,6 +21,10 @@ class UnsupportedPropertyError(CloudFormatError):
     """A declared property uses a type or width this toolkit does not handle."""
 
 
+class NonFiniteValueError(CloudFormatError):
+    """Coordinates or colors hold NaN or infinity."""
+
+
 class EmptyCloudError(CedkitError):
     """Operation requires a non-empty cloud."""
 

@@ -18,6 +18,7 @@ from statistics import mean, median
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .baseline import detect_random
 from .cloud import (
@@ -26,7 +27,7 @@ from .cloud import (
     add_gaussian_noise,
     apply_rigid_transform,
 )
-from .detector import DetectorParams, KeypointSet, detect
+from .detector import DetectorParams, KeypointSet, detect, prepare, select
 from .errors import InvalidParamsError
 
 Detector = Callable[[ColoredPointCloud], KeypointSet]
@@ -143,12 +144,42 @@ def sample_rigid_transform(rng: np.random.Generator) -> RigidTransform:
 def count_matches(
     source_points: np.ndarray, target_points: np.ndarray, epsilon: float
 ) -> int:
-    """How many source points have a target point strictly within epsilon."""
+    """How many source points have a target point strictly within epsilon.
+
+    A k-d tree over the targets finds each source point's nearest target, so
+    memory stays linear in the number of points. The strict test then runs on
+    that pair's float64 squared distance, summed in the same order as the
+    tree's own metric, so the tree's nearest is also the linear scan's.
+    """
     if len(source_points) == 0 or len(target_points) == 0:
         return 0
-    diffs = source_points[:, None, :] - target_points[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-    return int((d2.min(axis=1) < epsilon * epsilon).sum())
+    _, nearest = cKDTree(target_points).query(source_points)
+    diffs = source_points - target_points[nearest]
+    d2 = np.einsum("ij,ij->i", diffs, diffs)
+    return int(np.count_nonzero(d2 < epsilon * epsilon))
+
+
+def _sample_transforms(config: RepeatabilityConfig) -> list[RigidTransform]:
+    rng = np.random.default_rng(config.transform_seed)
+    return [sample_rigid_transform(rng) for _ in range(config.trials)]
+
+
+def _moved_copies(
+    cloud: ColoredPointCloud,
+    transforms: Sequence[RigidTransform],
+    config: RepeatabilityConfig,
+):
+    """Yield (transform, copy) per trial, the copy built only when asked for.
+
+    The copy is the cloud under the trial's rigid motion plus, when sigma > 0,
+    Gaussian noise seeded with noise_seed + trial index.
+    """
+    _, sigma = config.resolve(cloud.resolution)
+    for trial, transform in enumerate(transforms):
+        moved = apply_rigid_transform(cloud, transform)
+        if sigma > 0:
+            moved = add_gaussian_noise(moved, sigma, config.noise_seed + trial)
+        yield transform, moved
 
 
 def evaluate_repeatability(
@@ -163,33 +194,25 @@ def evaluate_repeatability(
     config.trials transforms are sampled from transform_seed. Noise uses a
     fresh seed per trial, derived as noise_seed + trial index.
     """
-    epsilon, sigma = config.resolve(cloud.resolution)
+    epsilon, _ = config.resolve(cloud.resolution)
 
     start = time.perf_counter()
     source_keys = detector(cloud)
     detect_time = time.perf_counter() - start
 
     if transforms is None:
-        rng = np.random.default_rng(config.transform_seed)
-        transforms = [sample_rigid_transform(rng) for _ in range(config.trials)]
+        transforms = _sample_transforms(config)
     total = len(source_keys)
     source_points = cloud.xyz[source_keys.indices]
 
-    ratios = []
-    for trial, transform in enumerate(transforms):
-        if total == 0:
-            ratios.append(0.0)
-            continue
-        moved = apply_rigid_transform(cloud, transform)
-        if sigma > 0:
-            moved = add_gaussian_noise(moved, sigma, config.noise_seed + trial)
-        target_keys = detector(moved)
-        matched = count_matches(
-            transform.apply(source_points),
-            moved.xyz[target_keys.indices],
-            epsilon,
-        )
-        ratios.append(matched / total)
+    if total == 0:
+        ratios = [0.0] * len(transforms)
+    else:
+        ratios = []
+        for transform, moved in _moved_copies(cloud, transforms, config):
+            target_points = moved.xyz[detector(moved).indices]
+            matched = count_matches(transform.apply(source_points), target_points, epsilon)
+            ratios.append(matched / total)
 
     relative = mean(ratios)
     return RepeatabilityReport(
@@ -226,28 +249,55 @@ def ablation_sweep(
 ) -> list[AblationRow]:
     """One row per (geo, color) threshold pair, everything else held fixed.
 
-    Repeatability follows evaluate_repeatability; unless overridden the sweep
-    runs with sigma = 0 so rows isolate the thresholds from noise.
+    Each row's count and repeatability equal those of evaluate_repeatability
+    with that row's parameters; unless overridden the sweep runs with
+    sigma = 0 so rows isolate the thresholds from noise.
+
+    The thresholds do not change the neighbor graph or the saliency fields,
+    so the cloud and each trial's moved copy are prepared once (1 + trials
+    prepare calls, whatever the grid size) and only selection runs per row.
+    A row's runtime_seconds is the source cloud's prepare time plus that
+    row's select time: the time a detection at the row's thresholds takes.
     """
     if len(geo_thresholds) == 0 or len(color_thresholds) == 0:
         raise InvalidParamsError("threshold lists must be non-empty")
     if config is None:
         config = RepeatabilityConfig(sigma=0.0)
-    rows = []
-    for geo in geo_thresholds:
-        for color in color_thresholds:
-            params = replace(fixed_params, geo_threshold=geo, color_threshold=color)
-            report = evaluate_repeatability(cloud, ced_detector(params), config)
-            rows.append(
-                AblationRow(
-                    geo_threshold=geo,
-                    color_threshold=color,
-                    keypoint_count=report.total_keypoints,
-                    repeatability=report.relative_repeatability,
-                    runtime_seconds=report.detect_time_seconds,
-                )
-            )
-    return rows
+    epsilon, _ = config.resolve(cloud.resolution)
+    grid = [
+        replace(fixed_params, geo_threshold=geo, color_threshold=color)
+        for geo in geo_thresholds
+        for color in color_thresholds
+    ]
+
+    start = time.perf_counter()
+    prepared = prepare(cloud, fixed_params)
+    prepare_time = time.perf_counter() - start
+    sources, runtimes = [], []
+    for params in grid:
+        start = time.perf_counter()
+        sources.append(select(prepared, params))
+        runtimes.append(prepare_time + time.perf_counter() - start)
+    source_points = [cloud.xyz[keys.indices] for keys in sources]
+
+    ratios: list[list[float]] = [[] for _ in grid]
+    for transform, moved in _moved_copies(cloud, _sample_transforms(config), config):
+        target = prepare(moved, fixed_params)
+        for row, params, points in zip(ratios, grid, source_points):
+            target_points = moved.xyz[select(target, params).indices]
+            matched = count_matches(transform.apply(points), target_points, epsilon)
+            row.append(matched / len(points) if len(points) else 0.0)
+
+    return [
+        AblationRow(
+            geo_threshold=params.geo_threshold,
+            color_threshold=params.color_threshold,
+            keypoint_count=len(keys),
+            repeatability=mean(row),
+            runtime_seconds=runtime,
+        )
+        for params, keys, row, runtime in zip(grid, sources, ratios, runtimes)
+    ]
 
 
 def repeatability_csv(report: RepeatabilityReport) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import ColoredPointCloud
+from .cloud import ColoredPointCloud, require_finite
 from .errors import EmptyCloudError, IndexOutOfRangeError, NonPositiveRadiusError
 
 # Candidate radius inflation; guards against last-ulp disagreement between the
@@ -65,6 +65,7 @@ class SpatialIndex:
     def __init__(self, cloud: ColoredPointCloud):
         if len(cloud) == 0:
             raise EmptyCloudError("cannot index an empty cloud")
+        require_finite(cloud.xyz, "coordinates")
         self._xyz = cloud.xyz
         self._tree = cKDTree(self._xyz)
 
@@ -104,7 +105,10 @@ class SpatialIndex:
 
 
 def build_index(cloud: ColoredPointCloud) -> SpatialIndex:
-    """Build an index over all points of a finite, non-empty cloud."""
+    """Build an index over all points of a non-empty cloud.
+
+    Raises NonFiniteValueError when a coordinate is NaN or infinite.
+    """
     return SpatialIndex(cloud)
 
 

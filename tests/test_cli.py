@@ -127,6 +127,25 @@ class TestDetect:
         code = main(["detect", "-i", str(tmp_path / "absent.ply")])
         assert code == 1
 
+    def test_non_finite_input_exits_1_without_traceback(self, tmp_path):
+        path = tmp_path / "nan.ply"
+        path.write_bytes(
+            b"ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+            b"property float y\nproperty float z\nend_header\n0 0 0\nnan 0 0\n0 0 1\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "cedkit", "detect", "-i", str(path)],
+            capture_output=True,
+            text=True,
+            env=_child_env(os.environ),
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("cedkit: error:")
+        assert "NaN" in line
+
     def test_byte_identical_reruns(self, plane_ply, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["detect", "-i", str(plane_ply), "--mode", "ced3d"]

@@ -6,7 +6,10 @@ import pytest
 from cedkit import CloudFormat, ColoredPointCloud, parse_cloud, sniff_format, write_cloud
 from cedkit.errors import (
     EmptyCloudError,
+    CedkitError,
+    CloudFormatError,
     MalformedHeaderError,
+    NonFiniteValueError,
     TruncatedBodyError,
     UnsupportedPropertyError,
 )
@@ -172,11 +175,11 @@ class TestPcdParse:
         data = (
             b"VERSION 0.7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\nCOUNT 1 1 1\n"
             b"WIDTH 2\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS 2\nDATA ascii\n"
-            b"1 2 3\nnan 0 0\n"
+            b"1 2 3\n4 5 6\n"
         )
         cloud = parse_cloud(data, CloudFormat.PCD_ASCII)
         assert not cloud.has_color
-        assert np.isnan(cloud.xyz[1, 0])
+        assert np.array_equal(cloud.xyz, [[1, 2, 3], [4, 5, 6]])
 
     def test_truncated_pcd(self):
         data = (
@@ -203,6 +206,67 @@ class TestPcdParse:
         )
         with pytest.raises(UnsupportedPropertyError):
             parse_cloud(data, CloudFormat.PCD_ASCII)
+
+
+PLY_THREE_HEADER = b"""ply
+format ascii 1.0
+element vertex 3
+property float x
+property float y
+property float z
+property uchar red
+property uchar green
+property uchar blue
+end_header
+"""
+
+PCD_THREE_HEADER = (
+    b"VERSION 0.7\nFIELDS x y z rgb\nSIZE 4 4 4 4\nTYPE F F F F\nCOUNT 1 1 1 1\n"
+    b"WIDTH 3\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS 3\nDATA ascii\n"
+)
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            b"0 0 0 1 2 3\nnan 0 0 1 2 3\n0 0 1 1 2 3\n",
+            b"0 0 0 1 2 3\n0 0 0 1 2 3\n0 -inf 1 1 2 3\n",
+            b"0 0 0 1 2 3\n0 1 0 nan 2 3\n0 0 1 1 2 3\n",
+        ],
+        ids=["nan-x", "inf-y", "nan-red"],
+    )
+    def test_ascii_ply_rejected(self, rows):
+        with pytest.raises(NonFiniteValueError) as excinfo:
+            parse_cloud(PLY_THREE_HEADER + rows, CloudFormat.PLY_ASCII)
+        assert isinstance(excinfo.value, CloudFormatError)
+        assert isinstance(excinfo.value, CedkitError)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            b"0 0 0 0\n1 0 nan 0\n0 1 0 0\n",
+            b"0 0 0 0\n1 0 0 0\n0 1 0 inf\n",
+        ],
+        ids=["nan-z", "inf-rgb"],
+    )
+    def test_pcd_rejected(self, rows):
+        with pytest.raises(NonFiniteValueError):
+            parse_cloud(PCD_THREE_HEADER + rows, CloudFormat.PCD_ASCII)
+
+    def test_binary_ply_rejected(self, rng):
+        cloud = float32_valued_cloud(rng, 3)
+        data = write_cloud(cloud, CloudFormat.PLY_BINARY_LE)
+        body = np.frombuffer(data[-len(cloud) * 15:], dtype=[("xyz", "<f4", 3), ("rgb", "u1", 3)]).copy()
+        body["xyz"][1, 2] = np.inf
+        broken = data[: -len(cloud) * 15] + body.tobytes()
+        with pytest.raises(NonFiniteValueError):
+            parse_cloud(broken, CloudFormat.PLY_BINARY_LE)
+
+    def test_finite_three_vertex_files_parse(self):
+        ply = parse_cloud(PLY_THREE_HEADER + b"0 0 0 1 2 3\n" * 3, CloudFormat.PLY_ASCII)
+        pcd = parse_cloud(PCD_THREE_HEADER + b"0 0 0 0\n" * 3, CloudFormat.PCD_ASCII)
+        assert len(ply) == len(pcd) == 3
 
 
 class TestSniff:

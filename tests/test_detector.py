@@ -5,11 +5,14 @@ import logging
 import numpy as np
 import pytest
 
+from dataclasses import fields as dataclass_fields, replace
+
 from cedkit import (
     CloudFormat,
     ColoredPointCloud,
     DetectorMode,
     DetectorParams,
+    PreparedCloud,
     SaliencyField,
     SceneKind,
     SceneSpec,
@@ -22,10 +25,13 @@ from cedkit import (
     export_keypoints_ply,
     generate_scene,
     geometric_centroid,
+    local_maxima,
     multimodal_nms,
     parse_cloud,
     photometric_centroid,
+    prepare,
     sample_rigid_transform,
+    select,
 )
 from cedkit.errors import (
     EmptyNeighborhoodError,
@@ -287,6 +293,71 @@ class TestMultimodalNms:
             multimodal_nms([short], [0.1], graph)
         with pytest.raises(MisalignedFieldsError):
             multimodal_nms([], [], graph)
+
+
+    def test_mask_step_equals_graph_step(self, rng):
+        cloud = random_colored_cloud(rng, 250)
+        params = DetectorParams(radius=0.25)
+        index = build_index(cloud)
+        graph = index.neighbor_graph(params.radius)
+        fields = list(compute_saliency(cloud, index, params))
+        mask = local_maxima(fields, graph)
+        for thresholds in ([0.0, 0.0], [0.05, 0.3], [0.2, 3.0]):
+            assert np.array_equal(
+                multimodal_nms(fields, thresholds, mask),
+                multimodal_nms(fields, thresholds, graph),
+            )
+        with pytest.raises(MisalignedFieldsError):
+            multimodal_nms(fields, [0.1, 0.1], mask[:-1])
+
+
+class TestPrepareSelect:
+    GEO_GRID = (0.0, 0.1, 0.25, 0.5)
+    COLOR_GRID = (0.0, 0.2, 0.4, 0.8)
+
+    @pytest.mark.parametrize("mode", [DetectorMode.CED, DetectorMode.CED_3D])
+    def test_threshold_grid_matches_transcription(self, rng, mode):
+        cloud = random_colored_cloud(rng, 200)
+        base = DetectorParams(radius=0.25, mode=mode)
+        prepared = prepare(cloud, base)
+        for geo in self.GEO_GRID:
+            for color in self.COLOR_GRID:
+                params = replace(base, geo_threshold=geo, color_threshold=color)
+                keys = select(prepared, params)
+                assert keys.params == params
+                assert np.array_equal(keys.indices, detect_brute_force(cloud, params))
+
+    def test_prepared_record_holds_per_point_arrays_only(self, rng):
+        cloud = random_colored_cloud(rng, 300)
+        prepared = prepare(cloud, DetectorParams(radius=0.25))
+        assert {f.name for f in dataclass_fields(PreparedCloud)} == {
+            "params", "geometric", "photometric", "local_max",
+        }
+        arrays = [prepared.local_max]
+        for field in prepared.fields:
+            arrays += [field.values, field.valid]
+        assert all(a.shape == (len(cloud),) for a in arrays)
+
+    def test_fields_equal_detect_with_fields(self, rng):
+        cloud = random_colored_cloud(rng, 300)
+        params = DetectorParams(radius=0.25, geo_threshold=0.3, color_threshold=0.2)
+        prepared = prepare(cloud, params)
+        result = detect_with_fields(cloud, params)
+        assert np.array_equal(prepared.geometric.values, result.geometric.values)
+        assert np.array_equal(prepared.photometric.values, result.photometric.values)
+        assert np.array_equal(select(prepared, params).indices, result.keypoints.indices)
+
+    def test_select_rejects_threshold_free_changes(self, rng):
+        cloud = random_colored_cloud(rng, 100)
+        base = DetectorParams(radius=0.25)
+        prepared = prepare(cloud, base)
+        for changed in (
+            replace(base, radius=0.3),
+            replace(base, min_neighbors=3),
+            replace(base, mode=DetectorMode.CED_3D),
+        ):
+            with pytest.raises(InvalidParamsError):
+                select(prepared, changed)
 
 
 class TestDetect:

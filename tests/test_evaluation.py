@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+import cedkit.evaluation
 
 from cedkit import (
     DetectorParams,
@@ -115,6 +119,25 @@ class TestEvaluateRepeatability:
         assert count_matches(source, target, epsilon=0.02) == 0
         assert count_matches(source, target, epsilon=0.020001) == 1
 
+    def test_count_matches_equals_brute_force(self, rng):
+        epsilon = 0.05
+        # offsets of epsilon and one ulp either side put pairs on the boundary
+        edge = np.array([epsilon, np.nextafter(epsilon, 0.0), np.nextafter(epsilon, 1.0)])
+        for _ in range(20):
+            source = rng.uniform(0, 0.5, size=(int(rng.integers(1, 60)), 3))
+            target = rng.uniform(0, 0.5, size=(int(rng.integers(1, 60)), 3))
+            k = min(len(source), len(target)) // 2
+            target[:k] = source[:k]
+            target[:k, 0] += edge[np.arange(k) % 3]
+            assert count_matches(source, target, epsilon) == repeatable_count_brute_force(
+                source, target, epsilon
+            )
+
+    def test_count_matches_empty_sides(self):
+        points = np.zeros((2, 3))
+        assert count_matches(points[:0], points, 0.1) == 0
+        assert count_matches(points, points[:0], 0.1) == 0
+
     def test_noise_seeds_fresh_per_trial(self, rng):
         cloud = random_colored_cloud(rng, 200)
         seen = []
@@ -173,6 +196,34 @@ class TestAblationSweep:
         report = evaluate_repeatability(cloud, ced_detector(params), config)
         assert row.keypoint_count == report.total_keypoints
         assert row.repeatability == report.relative_repeatability
+
+    def test_noisy_rows_match_direct_calls(self):
+        cloud = room(extent=0.3)
+        base = DetectorParams(radius=0.052)
+        config = RepeatabilityConfig(epsilon=0.02, sigma=0.004, trials=2, transform_seed=4)
+        rows = ablation_sweep(cloud, [0.1, 0.4, 0.9], [0.0, 0.6, 2.5], base, config)
+        assert len({row.keypoint_count for row in rows}) > 2
+        for row in rows:
+            params = replace(base, geo_threshold=row.geo_threshold, color_threshold=row.color_threshold)
+            report = evaluate_repeatability(cloud, ced_detector(params), config)
+            assert row.keypoint_count == report.total_keypoints
+            assert row.repeatability == report.relative_repeatability
+
+    def test_prepares_each_cloud_once(self, rng, monkeypatch):
+        calls = []
+        prepare = cedkit.evaluation.prepare
+
+        def counting_prepare(cloud, params):
+            calls.append(len(cloud))
+            return prepare(cloud, params)
+
+        monkeypatch.setattr(cedkit.evaluation, "prepare", counting_prepare)
+        cloud = random_colored_cloud(rng, 300)
+        config = RepeatabilityConfig(sigma=0.01, trials=3)
+        rows = ablation_sweep(cloud, [0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3], DetectorParams(radius=0.25), config)
+        assert len(rows) == 12
+        assert any(row.keypoint_count for row in rows)
+        assert len(calls) == 1 + config.trials
 
     def test_empty_lists_rejected(self, rng):
         cloud = random_colored_cloud(rng, 50)

@@ -7,6 +7,7 @@ from cedkit import ColoredPointCloud, build_index, radius_neighbors
 from cedkit.errors import (
     EmptyCloudError,
     IndexOutOfRangeError,
+    NonFiniteValueError,
     NonPositiveRadiusError,
 )
 from oracles import linear_scan_neighbors
@@ -33,6 +34,13 @@ class TestBuildIndex:
     def test_empty_cloud_rejected(self):
         with pytest.raises(EmptyCloudError):
             build_index(ColoredPointCloud(np.zeros((0, 3)), np.zeros((0, 3))))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, value):
+        xyz = np.zeros((3, 3))
+        xyz[1, 0] = value
+        with pytest.raises(NonFiniteValueError):
+            build_index(cloud_of(xyz))
 
     def test_large_cloud_spot_queries(self, rng):
         xyz = rng.uniform(0, 1, size=(10_000, 3))
