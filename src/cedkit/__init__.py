@@ -8,7 +8,6 @@ PLY/PCD IO, synthetic scenes, and a repeatability/runtime evaluation harness.
 
 from .baseline import detect_random
 from .cloud import (
-    ColoredPoint,
     ColoredPointCloud,
     RigidTransform,
     add_gaussian_noise,
@@ -24,7 +23,6 @@ from .detector import (
     KeypointSet,
     PreparedCloud,
     SaliencyField,
-    compute_saliency,
     detect,
     detect_with_fields,
     export_keypoints_csv,
@@ -48,13 +46,12 @@ from .evaluation import (
     random_detector,
     sample_rigid_transform,
 )
-from .index import NeighborGraph, SpatialIndex, build_index, radius_neighbors
+from .index import NeighborGraph, SpatialIndex, build_index
 from .scenes import SceneKind, SceneSpec, generate_scene
 
 __all__ = [
     "AblationRow",
     "CloudFormat",
-    "ColoredPoint",
     "ColoredPointCloud",
     "DetectionResult",
     "DetectorMode",
@@ -75,7 +72,6 @@ __all__ = [
     "apply_rigid_transform",
     "build_index",
     "ced_detector",
-    "compute_saliency",
     "detect",
     "detect_random",
     "detect_with_fields",
@@ -90,7 +86,6 @@ __all__ = [
     "parse_cloud",
     "photometric_centroid",
     "prepare",
-    "radius_neighbors",
     "random_detector",
     "remove_invalid",
     "sample_rigid_transform",

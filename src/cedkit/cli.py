@@ -95,8 +95,6 @@ def _add_detector_flags(parser, scalar_thresholds=True):
                         help="keypoint count for --mode random (default 100)")
     parser.add_argument("--seed", type=_parse_seed, default=str(DEFAULT_SEED),
                         help="integer seed or 'random' (default 7)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap; detection is currently sequential (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,9 +245,6 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_bench(args) -> int:
     cloud = _load_cloud(args)
-    if args.threads != 1:
-        logger.warning("bench runs single-threaded; ignoring --threads %d", args.threads)
-        args.threads = 1
     stats = measure_runtime(cloud, _detector_for(args, cloud), repetitions=args.trials)
     _emit(runtime_csv(stats), args.output)
     return 0
@@ -303,8 +298,6 @@ def _configure_logging():
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
     try:
         _configure_logging()
         return _COMMANDS[args.command](args)

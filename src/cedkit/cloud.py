@@ -10,7 +10,6 @@ so sharing clouds between threads is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,17 +21,6 @@ from .errors import (
 )
 
 ROTATION_TOLERANCE = 1e-9
-
-
-class ColoredPoint(NamedTuple):
-    """One sample: geometric components in meters, color channels in [0, 1]."""
-
-    gx: float
-    gy: float
-    gz: float
-    r: float
-    g: float
-    b: float
 
 
 def require_finite(values: np.ndarray, what: str) -> None:
@@ -81,15 +69,6 @@ class ColoredPointCloud:
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
-
-    def point(self, i: int) -> ColoredPoint:
-        x, y, z = self.xyz[i]
-        r, g, b = self.rgb[i]
-        return ColoredPoint(float(x), float(y), float(z), float(r), float(g), float(b))
-
-    @property
-    def points(self) -> list[ColoredPoint]:
-        return [self.point(i) for i in range(len(self))]
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ def parse_cloud(data: bytes, fmt: CloudFormat, resolution: float = 0.01) -> Colo
         resolution: sampling pitch recorded on the result (files carry none).
 
     Returns:
-        One ColoredPoint per vertex record in file order. has_color is set
+        A cloud with one point per vertex record, in file order. has_color is set
         iff red/green/blue are all present; otherwise colors default to 0.
 
     Raises:

@@ -2,8 +2,10 @@
 
 Per point, saliency is the distance from the point to the centroid of its
 strict-radius neighborhood: L2 in geometric space, L1 in RGB space. Both
-measures are invariant to rigid motion because the neighborhood's shape (and
-its colors) move with the query point. Keypoints are the points whose product of
+centroids come from one neighborhood sum over the [xyz|rgb] columns, taken
+as a sparse product over the neighbor graph's pairs. Both measures are
+invariant to rigid motion because the neighborhood's shape (and its colors)
+move with the query point. Keypoints are the points whose product of
 saliencies is not strictly beaten by any neighbor and that pass a
 per-modality threshold filter.
 
@@ -24,8 +26,9 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import coo_array
 
-from .cloud import ColoredPointCloud
+from .cloud import ColoredPointCloud, require_finite
 from .cloudio import CloudFormat, write_cloud
 from .errors import (
     EmptyNeighborhoodError,
@@ -33,7 +36,7 @@ from .errors import (
     MisalignedFieldsError,
     NoColorError,
 )
-from .index import NeighborGraph, SpatialIndex, build_index
+from .index import NeighborGraph, build_index
 
 logger = logging.getLogger(__name__)
 
@@ -161,66 +164,43 @@ def photometric_centroid(cloud: ColoredPointCloud, neighbor_indices) -> np.ndarr
     return cloud.rgb[idx].mean(axis=0)
 
 
-def _neighborhood_means(values: np.ndarray, graph: NeighborGraph, counts: np.ndarray):
-    """Mean of `values` over each point's neighborhood (self included)."""
-    first, second = graph.pairs[:, 0], graph.pairs[:, 1]
-    sums = values.copy()
-    for column in range(values.shape[1]):
-        sums[:, column] += np.bincount(
-            first, weights=values[second, column], minlength=graph.n_points
-        )
-        sums[:, column] += np.bincount(
-            second, weights=values[first, column], minlength=graph.n_points
-        )
-    return sums / counts[:, None]
-
-
 def saliency_from_graph(
     cloud: ColoredPointCloud, graph: NeighborGraph, params: DetectorParams
 ) -> tuple[SaliencyField, SaliencyField | None]:
     """Saliency fields over a prebuilt neighbor graph.
 
     Invalid points (neighborhood smaller than min_neighbors) get value 0.
-    The photometric field is produced only in CED mode.
+    The photometric field is produced only in CED mode, which rejects
+    colorless clouds and NaN or infinite colors.
     """
     counts = graph.counts()
     valid = counts >= params.min_neighbors
 
-    # The distance to the neighborhood centroid equals the norm of the summed
-    # neighbor displacements divided by the count; the graph already carries
-    # the per-pair displacements, so no coordinate gathers are needed.
-    first, second = graph.pairs[:, 0], graph.pairs[:, 1]
-    displacement_sums = np.zeros((graph.n_points, 3))
-    for column in range(3):
-        offsets_column = graph.pair_offsets[:, column]
-        displacement_sums[:, column] = np.bincount(
-            first, weights=-offsets_column, minlength=graph.n_points
-        )
-        displacement_sums[:, column] += np.bincount(
-            second, weights=offsets_column, minlength=graph.n_points
-        )
-    geo_values = (
-        np.sqrt(np.einsum("ij,ij->i", displacement_sums, displacement_sums)) / counts
+    ced = params.mode is DetectorMode.CED
+    if ced:
+        if not cloud.has_color:
+            raise NoColorError("CED mode needs a colored cloud; use CED_3D instead")
+        require_finite(cloud.rgb, "colors")
+        values = np.hstack([cloud.xyz, cloud.rgb])
+    else:
+        values = cloud.xyz
+
+    # Neighborhood sums over the upper-triangular pairs U: every pair adds
+    # each end's values to the other's sum, and every point counts itself.
+    n = graph.n_points
+    upper = coo_array(
+        (np.ones(graph.pairs.shape[0]), (graph.pairs[:, 0], graph.pairs[:, 1])),
+        shape=(n, n),
     )
-    geo_values = np.where(valid, geo_values, 0.0)
-    geo = SaliencyField(geo_values, GEOMETRIC, valid)
+    sums = upper @ values + upper.T @ values + values
+    offsets = values - sums / counts[:, None]
 
-    if params.mode is not DetectorMode.CED:
+    geo_values = np.sqrt(np.einsum("ij,ij->i", offsets[:, :3], offsets[:, :3]))
+    geo = SaliencyField(np.where(valid, geo_values, 0.0), GEOMETRIC, valid)
+    if not ced:
         return geo, None
-    if not cloud.has_color:
-        raise NoColorError("CED mode needs a colored cloud; use CED_3D instead")
-    color_centroids = _neighborhood_means(cloud.rgb, graph, counts)
-    color_values = np.abs(cloud.rgb - color_centroids).sum(axis=1)
-    color_values = np.where(valid, color_values, 0.0)
-    return geo, SaliencyField(color_values, PHOTOMETRIC, valid)
-
-
-def compute_saliency(
-    cloud: ColoredPointCloud, index: SpatialIndex, params: DetectorParams
-) -> tuple[SaliencyField, SaliencyField | None]:
-    """Geometric and (in CED mode) photometric saliency for every point."""
-    graph = index.neighbor_graph(params.radius)
-    return saliency_from_graph(cloud, graph, params)
+    color_values = np.abs(offsets[:, 3:]).sum(axis=1)
+    return geo, SaliencyField(np.where(valid, color_values, 0.0), PHOTOMETRIC, valid)
 
 
 def _check_fields(fields: Sequence[SaliencyField], n: int) -> None:

@@ -29,15 +29,12 @@ class NeighborGraph:
     """Strict-radius adjacency: unordered index pairs (i < j) within radius.
 
     Every point is implicitly its own neighbor; the pairs carry only the
-    distinct-point edges. pair_offsets caches the displacement g_i - g_j for
-    each pair row, a byproduct of the strict-radius test that saliency
-    computation reuses.
+    distinct-point edges, 16 bytes each.
     """
 
     n_points: int
     radius: float
     pairs: np.ndarray  # (m, 2) int64, each row i < j
-    pair_offsets: np.ndarray  # (m, 3) float64, xyz[i] - xyz[j]
 
     def counts(self) -> np.ndarray:
         """Neighborhood sizes including the point itself."""
@@ -45,18 +42,6 @@ class NeighborGraph:
         counts += np.bincount(self.pairs[:, 0], minlength=self.n_points)
         counts += np.bincount(self.pairs[:, 1], minlength=self.n_points)
         return counts
-
-    def neighbors_of(self, i: int) -> np.ndarray:
-        """Ascending neighbor indices of point i, including i."""
-        mine = np.concatenate(
-            [
-                self.pairs[self.pairs[:, 0] == i, 1],
-                self.pairs[self.pairs[:, 1] == i, 0],
-                [i],
-            ]
-        )
-        mine.sort()
-        return mine
 
 
 class SpatialIndex:
@@ -101,7 +86,7 @@ class SpatialIndex:
         diffs = self._xyz[pairs[:, 0]] - self._xyz[pairs[:, 1]]
         d2 = np.einsum("ij,ij->i", diffs, diffs)
         keep = d2 < radius * radius
-        return NeighborGraph(len(self), radius, pairs[keep], diffs[keep])
+        return NeighborGraph(len(self), radius, pairs[keep])
 
 
 def build_index(cloud: ColoredPointCloud) -> SpatialIndex:
@@ -110,14 +95,3 @@ def build_index(cloud: ColoredPointCloud) -> SpatialIndex:
     Raises NonFiniteValueError when a coordinate is NaN or infinite.
     """
     return SpatialIndex(cloud)
-
-
-def radius_neighbors(
-    index: SpatialIndex, cloud: ColoredPointCloud, query_index: int, radius: float
-) -> np.ndarray:
-    """Free-function form of SpatialIndex.radius_neighbors."""
-    if len(cloud) != len(index):
-        raise IndexOutOfRangeError(
-            f"cloud of {len(cloud)} points does not match index over {len(index)}"
-        )
-    return index.radius_neighbors(query_index, radius)

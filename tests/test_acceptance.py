@@ -23,7 +23,6 @@ from cedkit import (
     apply_rigid_transform,
     build_index,
     ced_detector,
-    compute_saliency,
     detect,
     detect_random,
     evaluate_repeatability,
@@ -192,7 +191,8 @@ def test_criterion_5_runtime_envelope():
 def test_criterion_6_geometry_unit_properties():
     plane = generate_scene(SceneSpec(kind=SceneKind.PLANE, extent=0.6, pitch=0.01))
     plane_params = DetectorParams(radius=0.052)
-    geo, _ = compute_saliency(plane, build_index(plane), plane_params)
+    plane_graph = build_index(plane).neighbor_graph(plane_params.radius)
+    geo, _ = saliency_from_graph(plane, plane_graph, plane_params)
     center = int(np.argmin(((plane.xyz - [0.3, 0.3, 0.0]) ** 2).sum(axis=1)))
     geo_oracle, _, _ = saliency_brute_force(plane, plane_params)
     assert geo.values[center] <= 0.02 * plane_params.radius
@@ -204,7 +204,8 @@ def test_criterion_6_geometry_unit_properties():
     # min_neighbors high enough that one-sided supports on the free outer
     # boundary of the finite sample are invalid rather than salient
     corner_params = DetectorParams(radius=0.052, min_neighbors=60)
-    corner_geo, _ = compute_saliency(corner, build_index(corner), corner_params)
+    corner_graph = build_index(corner).neighbor_graph(corner_params.radius)
+    corner_geo, _ = saliency_from_graph(corner, corner_graph, corner_params)
     oracle_geo, _, oracle_valid = saliency_brute_force(corner, corner_params)
     assert oracle_valid[apex]
     valid_indices = np.nonzero(oracle_valid)[0]

@@ -199,11 +199,14 @@ class TestBench:
         assert lines[0] == "mean_seconds,median_seconds,min_seconds,repetitions"
         assert lines[1].endswith(",3")
 
-    def test_threads_flag_forced_to_one(self, plane_ply, tmp_path):
+    def test_threads_flag_is_unknown(self, plane_ply, tmp_path, capsys):
         out = tmp_path / "bench.csv"
-        code = main(["bench", "-i", str(plane_ply), "--mode", "ced3d",
-                     "--trials", "3", "--threads", "4", "-o", str(out)])
-        assert code == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "-i", str(plane_ply), "--mode", "ced3d",
+                  "--trials", "3", "--threads", "4", "-o", str(out)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEntryPoint:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cedkit import (
-    ColoredPoint,
     ColoredPointCloud,
     RigidTransform,
     add_gaussian_noise,
@@ -29,11 +28,11 @@ def make_cloud(xyz, rgb=None, resolution=0.01):
 
 
 class TestColoredPointCloud:
-    def test_point_accessor_round_trips_fields(self):
+    def test_arrays_round_trip_fields(self):
         cloud = make_cloud([[1.0, 2.0, 3.0]], [[0.1, 0.2, 0.3]])
-        assert cloud.point(0) == ColoredPoint(1.0, 2.0, 3.0, 0.1, 0.2, 0.3)
+        assert cloud.xyz.tolist() == [[1.0, 2.0, 3.0]]
+        assert cloud.rgb.tolist() == [[0.1, 0.2, 0.3]]
         assert len(cloud) == 1
-        assert cloud.points == [cloud.point(0)]
 
     def test_arrays_are_frozen(self):
         cloud = make_cloud([[0.0, 0.0, 0.0]])

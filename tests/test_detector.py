@@ -18,7 +18,6 @@ from cedkit import (
     SceneSpec,
     apply_rigid_transform,
     build_index,
-    compute_saliency,
     detect,
     detect_with_fields,
     export_keypoints_csv,
@@ -38,6 +37,7 @@ from cedkit.errors import (
     InvalidParamsError,
     MisalignedFieldsError,
     NoColorError,
+    NonFiniteValueError,
 )
 from oracles import (
     compensated_mean,
@@ -47,6 +47,7 @@ from oracles import (
     random_colored_cloud,
     saliency_brute_force,
 )
+from cedkit.detector import saliency_from_graph
 
 # Apex saliency of the 0.2 m box corner at pitch 0.01 m, radius 0.05 m,
 # frozen from the brute-force centroid oracle.
@@ -129,8 +130,8 @@ class TestComputeSaliency:
     def test_planar_disk_center_is_flat(self):
         scene = generate_scene(SceneSpec(kind=SceneKind.PLANE, extent=0.6, pitch=0.01))
         params = DetectorParams(radius=0.052)
-        index = build_index(scene)
-        geo, photo = compute_saliency(scene, index, params)
+        graph = build_index(scene).neighbor_graph(params.radius)
+        geo, photo = saliency_from_graph(scene, graph, params)
         center = np.argmin(((scene.xyz - [0.3, 0.3, 0.0]) ** 2).sum(axis=1))
         assert geo.values[center] <= 0.02 * params.radius
         assert photo.values[center] == 0.0
@@ -139,7 +140,8 @@ class TestComputeSaliency:
         scene = generate_scene(SceneSpec(kind=SceneKind.BOX_CORNER, extent=0.2, pitch=0.01))
         params = DetectorParams(radius=0.05)
         geo_oracle, _, _ = saliency_brute_force(scene, params)
-        geo, _ = compute_saliency(scene, build_index(scene), params)
+        graph = build_index(scene).neighbor_graph(params.radius)
+        geo, _ = saliency_from_graph(scene, graph, params)
         assert abs(geo.values[0] - geo_oracle[0]) < 1e-12
         assert abs(geo_oracle[0] - CORNER_APEX_SALIENCY) < 1e-9
 
@@ -148,14 +150,16 @@ class TestComputeSaliency:
         xyz = np.vstack([[0, 0, 0], np.random.default_rng(3).uniform(-0.01, 0.01, (9, 3))])
         rgb = np.vstack([[1, 1, 1], np.zeros((9, 3))])
         cloud = ColoredPointCloud(xyz, rgb)
-        _, photo = compute_saliency(cloud, build_index(cloud), DetectorParams(radius=0.1))
+        graph = build_index(cloud).neighbor_graph(0.1)
+        _, photo = saliency_from_graph(cloud, graph, DetectorParams(radius=0.1))
         assert abs(photo.values[0] - 2.7) < 1e-12
 
     def test_matches_brute_force(self, rng):
         cloud = random_colored_cloud(rng, 400)
         params = DetectorParams(radius=0.25)
         geo_oracle, color_oracle, valid_oracle = saliency_brute_force(cloud, params)
-        geo, photo = compute_saliency(cloud, build_index(cloud), params)
+        graph = build_index(cloud).neighbor_graph(params.radius)
+        geo, photo = saliency_from_graph(cloud, graph, params)
         assert np.array_equal(geo.valid, valid_oracle)
         assert np.abs(geo.values - geo_oracle).max() < 1e-12
         assert np.abs(photo.values - color_oracle).max() < 1e-12
@@ -164,7 +168,8 @@ class TestComputeSaliency:
         # two far-apart clusters; singletons never reach min_neighbors
         xyz = np.vstack([np.random.default_rng(0).uniform(0, 0.02, (8, 3)), [[5, 5, 5]]])
         cloud = ColoredPointCloud(xyz, np.zeros((9, 3)) + 0.5)
-        geo, photo = compute_saliency(cloud, build_index(cloud), DetectorParams(radius=0.1))
+        graph = build_index(cloud).neighbor_graph(0.1)
+        geo, photo = saliency_from_graph(cloud, graph, DetectorParams(radius=0.1))
         assert not geo.valid[8]
         assert geo.values[8] == 0.0
         assert photo.values[8] == 0.0
@@ -172,7 +177,8 @@ class TestComputeSaliency:
     def test_bounds(self, rng):
         cloud = random_colored_cloud(rng, 500)
         params = DetectorParams(radius=0.3)
-        geo, photo = compute_saliency(cloud, build_index(cloud), params)
+        graph = build_index(cloud).neighbor_graph(params.radius)
+        geo, photo = saliency_from_graph(cloud, graph, params)
         assert np.all(geo.values >= 0)
         assert np.all(geo.values[geo.valid] < params.radius)
         assert np.all(photo.values >= 0)
@@ -181,15 +187,17 @@ class TestComputeSaliency:
     def test_ced3d_mode_skips_color(self, rng):
         cloud = random_colored_cloud(rng, 100)
         params = DetectorParams(radius=0.3, mode=DetectorMode.CED_3D)
-        geo, photo = compute_saliency(cloud, build_index(cloud), params)
+        graph = build_index(cloud).neighbor_graph(params.radius)
+        geo, photo = saliency_from_graph(cloud, graph, params)
         assert photo is None
         assert geo.modality == "geometric"
 
     def test_ced_mode_needs_color(self, rng):
         xyz = rng.uniform(0, 1, (40, 3))
         cloud = ColoredPointCloud(xyz, np.zeros((40, 3)), has_color=False)
+        graph = build_index(cloud).neighbor_graph(0.3)
         with pytest.raises(NoColorError):
-            compute_saliency(cloud, build_index(cloud), DetectorParams(radius=0.3))
+            saliency_from_graph(cloud, graph, DetectorParams(radius=0.3))
 
 
 class TestRigidInvariance:
@@ -204,7 +212,8 @@ class TestRigidInvariance:
         params = DetectorParams(radius=0.25)
         self.assert_boundary_stable(cloud, params.radius)
 
-        geo, photo = compute_saliency(cloud, build_index(cloud), params)
+        graph = build_index(cloud).neighbor_graph(params.radius)
+        geo, photo = saliency_from_graph(cloud, graph, params)
         for _ in range(3):
             transform = sample_rigid_transform(rng)
             moved = apply_rigid_transform(cloud, transform)
@@ -215,7 +224,8 @@ class TestRigidInvariance:
                     moved_index.radius_neighbors(i, params.radius),
                     linear_scan_neighbors(cloud.xyz, i, params.radius),
                 )
-            geo_moved, photo_moved = compute_saliency(moved, moved_index, params)
+            moved_graph = moved_index.neighbor_graph(params.radius)
+            geo_moved, photo_moved = saliency_from_graph(moved, moved_graph, params)
             assert np.abs(geo_moved.values - geo.values).max() < 1e-9
             assert np.abs(photo_moved.values - photo.values).max() < 1e-9
 
@@ -226,7 +236,7 @@ class TestMultimodalNms:
         index = build_index(cloud)
         graph = index.neighbor_graph(0.25)
         params = DetectorParams(radius=0.25, mode=DetectorMode.CED_3D)
-        geo, _ = compute_saliency(cloud, index, params)
+        geo, _ = saliency_from_graph(cloud, graph, params)
         threshold = 0.05
         got = multimodal_nms([geo], [threshold], graph)
 
@@ -245,7 +255,7 @@ class TestMultimodalNms:
         params = DetectorParams(radius=0.25, geo_threshold=0.2, color_threshold=0.3)
         index = build_index(cloud)
         graph = index.neighbor_graph(params.radius)
-        geo, photo = compute_saliency(cloud, index, params)
+        geo, photo = saliency_from_graph(cloud, graph, params)
         via_nms = multimodal_nms(
             [geo, photo],
             [params.geo_threshold * params.radius, params.color_threshold],
@@ -258,7 +268,7 @@ class TestMultimodalNms:
         params = DetectorParams(radius=0.25)
         index = build_index(cloud)
         graph = index.neighbor_graph(params.radius)
-        geo, photo = compute_saliency(cloud, index, params)
+        geo, photo = saliency_from_graph(cloud, graph, params)
         third = SaliencyField(rng.uniform(0, 1, size=300), "synthetic", geo.valid)
         thresholds = [0.04, 0.25, 0.5]
         got = multimodal_nms([geo, photo, third], thresholds, graph)
@@ -300,7 +310,7 @@ class TestMultimodalNms:
         params = DetectorParams(radius=0.25)
         index = build_index(cloud)
         graph = index.neighbor_graph(params.radius)
-        fields = list(compute_saliency(cloud, index, params))
+        fields = list(saliency_from_graph(cloud, graph, params))
         mask = local_maxima(fields, graph)
         for thresholds in ([0.0, 0.0], [0.05, 0.3], [0.2, 3.0]):
             assert np.array_equal(
@@ -447,6 +457,18 @@ class TestDetect:
             detect(cloud, DetectorParams(radius=0.3))
         keys = detect(cloud, DetectorParams(radius=0.3, mode=DetectorMode.CED_3D))
         assert keys.indices.size >= 0
+
+    def test_nan_color_rejected_in_ced_mode_only(self, rng):
+        cloud = random_colored_cloud(rng, 300)
+        rgb = cloud.rgb.copy()
+        rgb[17] = [np.nan, 0.5, 0.5]
+        cloud = ColoredPointCloud(cloud.xyz, rgb)
+        with pytest.raises(NonFiniteValueError, match="colors of 1 point"):
+            detect(cloud, DetectorParams(radius=0.25))
+        params = DetectorParams(radius=0.25, mode=DetectorMode.CED_3D)
+        assert np.array_equal(
+            detect(cloud, params).indices, detect_brute_force(cloud, params)
+        )
 
 
 class TestExports:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cedkit import ColoredPointCloud, build_index, radius_neighbors
+from cedkit import ColoredPointCloud, build_index
 from cedkit.errors import (
     EmptyCloudError,
     IndexOutOfRangeError,
@@ -103,11 +103,6 @@ class TestRadiusNeighbors:
         with pytest.raises(IndexOutOfRangeError):
             index.radius_neighbors(-1, 0.1)
 
-    def test_free_function_form(self):
-        cloud = cloud_of([[0, 0, 0], [0.01, 0, 0]])
-        index = build_index(cloud)
-        assert np.array_equal(radius_neighbors(index, cloud, 0, 0.02), [0, 1])
-
 
 class TestNeighborGraph:
     def test_graph_agrees_with_single_queries(self, rng):
@@ -116,9 +111,14 @@ class TestNeighborGraph:
         index = build_index(cloud)
         graph = index.neighbor_graph(0.08)
         counts = graph.counts()
+        assert np.all(graph.pairs[:, 0] < graph.pairs[:, 1])
+        neighbor_sets = [{i} for i in range(400)]
+        for i, j in graph.pairs.tolist():
+            neighbor_sets[i].add(j)
+            neighbor_sets[j].add(i)
         for i in range(0, 400, 13):
             single = index.radius_neighbors(i, 0.08)
-            assert np.array_equal(graph.neighbors_of(i), single)
+            assert np.array_equal(sorted(neighbor_sets[i]), single)
             assert counts[i] == single.size
 
     def test_grid_tie_handling_matches_scan(self):
