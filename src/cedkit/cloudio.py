@@ -113,9 +113,15 @@ def _quantize_colors(rgb: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
 
 
-def _format_f32(value: float) -> str:
-    # 9 significant digits uniquely identify a float32.
-    return f"{float(np.float32(value)):.9g}"
+def _ascii_rows(table: np.ndarray) -> list[str]:
+    """One text line per row: each value rounded to float32, then '%.9g'.
+
+    9 significant digits uniquely identify a float32; integers up to 2**24
+    print as plain integers.
+    """
+    row = " ".join(["{:.9g}"] * table.shape[1])
+    values = table.astype(np.float32).astype(np.float64).tolist()
+    return [row.format(*record) for record in values]
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +255,10 @@ def _ply_header(cloud: ColoredPointCloud, format_line: str) -> list[str]:
 
 
 def _write_ply_ascii(cloud: ColoredPointCloud) -> bytes:
-    lines = _ply_header(cloud, "format ascii 1.0")
-    bytes_rgb = _quantize_colors(cloud.rgb)
-    for i in range(len(cloud)):
-        row = " ".join(_format_f32(v) for v in cloud.xyz[i])
-        if cloud.has_color:
-            row += " " + " ".join(str(int(c)) for c in bytes_rgb[i])
-        lines.append(row)
+    table = cloud.xyz
+    if cloud.has_color:
+        table = np.column_stack([table, _quantize_colors(cloud.rgb)])
+    lines = _ply_header(cloud, "format ascii 1.0") + _ascii_rows(table)
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -380,13 +383,10 @@ def _write_pcd(cloud: ColoredPointCloud) -> bytes:
         f"POINTS {n}",
         "DATA ascii",
     ]
+    table = cloud.xyz.astype(np.float32)
     if cloud.has_color:
         bytes_rgb = _quantize_colors(cloud.rgb).astype(np.uint32)
         packed = (bytes_rgb[:, 0] << 16) | (bytes_rgb[:, 1] << 8) | bytes_rgb[:, 2]
-        packed_floats = packed.view(np.float32)
-    for i in range(n):
-        row = " ".join(_format_f32(v) for v in cloud.xyz[i])
-        if cloud.has_color:
-            row += " " + _format_f32(packed_floats[i])
-        lines.append(row)
+        table = np.column_stack([table, packed.view(np.float32)])
+    lines += _ascii_rows(table)
     return ("\n".join(lines) + "\n").encode("ascii")

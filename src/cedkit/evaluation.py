@@ -148,14 +148,15 @@ def count_matches(
 
     A k-d tree over the targets finds each source point's nearest target, so
     memory stays linear in the number of points. The strict test then runs on
-    that pair's float64 squared distance, summed in the same order as the
-    tree's own metric, so the tree's nearest is also the linear scan's.
+    that pair's float64 squared distance, summed x, then y, then z: the
+    order in which the linear-scan definition sums it, so a pair at exactly
+    epsilon is excluded by both.
     """
     if len(source_points) == 0 or len(target_points) == 0:
         return 0
     _, nearest = cKDTree(target_points).query(source_points)
     diffs = source_points - target_points[nearest]
-    d2 = np.einsum("ij,ij->i", diffs, diffs)
+    d2 = diffs[:, 0] ** 2 + diffs[:, 1] ** 2 + diffs[:, 2] ** 2
     return int(np.count_nonzero(d2 < epsilon * epsilon))
 
 

@@ -137,6 +137,32 @@ def repeatable_count_brute_force(
     return count
 
 
+def exact_tie_pairs(rng: np.random.Generator, count: int):
+    """Seeded point pairs (p, q) with a radius r where r * r equals the scan's d2.
+
+    d2 is ``((q - p)**2).sum()``, the order in which every definition here
+    sums it. A strict test must exclude each such pair. Pairs whose d2 an
+    einsum puts one ulp lower (it adds the squares in another order) are
+    the ones a reordered sum wrongly keeps; up to count of them are
+    returned, or every exact tie found if the einsum never disagrees.
+    """
+    ties, reordered = [], []
+    for _ in range(20_000):
+        p, q = rng.uniform(0.0, 1.0, size=(2, 3))
+        d = q - p
+        d2 = float((d**2).sum())
+        root = math.sqrt(d2)
+        radii = [r for r in (root, np.nextafter(root, 0.0), np.nextafter(root, 2.0)) if r * r == d2]
+        if not radii:
+            continue
+        ties.append((p, q, float(radii[0])))
+        if np.einsum("ij,ij->i", d[None], d[None])[0] == np.nextafter(d2, 0.0):
+            reordered.append(ties[-1])
+            if len(reordered) == count:
+                break
+    return reordered or ties
+
+
 def random_colored_cloud(
     rng: np.random.Generator, n_points: int, extent: float = 1.0
 ) -> ColoredPointCloud:

@@ -159,6 +159,41 @@ class TestWriteAndRoundTrip:
             write_cloud(cloud, CloudFormat.PLY_ASCII)
 
 
+def per_value_body(cloud, fmt):
+    """The ASCII records formatted one value at a time: float32, then '%.9g'."""
+
+    def f32(value):
+        return f"{float(np.float32(value)):.9g}"
+
+    colors = np.clip(np.rint(cloud.rgb * 255.0), 0, 255).astype(np.uint8)
+    rows = []
+    for i in range(len(cloud)):
+        row = " ".join(f32(v) for v in cloud.xyz[i])
+        if cloud.has_color and fmt is CloudFormat.PLY_ASCII:
+            row += " " + " ".join(str(int(c)) for c in colors[i])
+        elif cloud.has_color:
+            red, green, blue = (int(c) for c in colors[i])
+            packed = np.uint32((red << 16) | (green << 8) | blue)
+            row += " " + f32(packed.view(np.float32))
+        rows.append(row)
+    return "\n".join(rows) + "\n"
+
+
+class TestAsciiRecords:
+    @pytest.mark.parametrize("fmt", [CloudFormat.PLY_ASCII, CloudFormat.PCD_ASCII])
+    @pytest.mark.parametrize("has_color", [True, False])
+    def test_body_equals_per_value_formatting(self, rng, fmt, has_color):
+        end_of_header = "end_header\n" if fmt is CloudFormat.PLY_ASCII else "DATA ascii\n"
+        for _ in range(20):
+            n = int(rng.integers(1, 150))
+            xyz = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-30, 31)
+            xyz[0, 0] = -0.0
+            rgb = rng.uniform(-0.2, 1.2, size=(n, 3))
+            cloud = ColoredPointCloud(xyz, rgb, has_color=has_color)
+            text = write_cloud(cloud, fmt).decode("ascii")
+            assert text.split(end_of_header, 1)[1] == per_value_body(cloud, fmt)
+
+
 class TestPcdParse:
     def test_packed_rgb_decoding(self):
         packed = np.array([(200 << 16) | (100 << 8) | 50], dtype=np.uint32)

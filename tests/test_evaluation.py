@@ -26,7 +26,7 @@ from cedkit import (
 )
 from cedkit.errors import InvalidParamsError
 from cedkit.evaluation import ablation_csv, count_matches, repeatability_csv, runtime_csv
-from oracles import random_colored_cloud, repeatable_count_brute_force
+from oracles import exact_tie_pairs, random_colored_cloud, repeatable_count_brute_force
 
 
 def room(extent=0.4, jitter=0.35, seed=3):
@@ -132,6 +132,13 @@ class TestEvaluateRepeatability:
             assert count_matches(source, target, epsilon) == repeatable_count_brute_force(
                 source, target, epsilon
             )
+
+    def test_count_matches_excludes_exact_ties(self, rng):
+        # epsilon * epsilon equals the definition's d2, summed x, y, z
+        for source, target, epsilon in exact_tie_pairs(rng, 8):
+            source, target = source[None], target[None]
+            assert repeatable_count_brute_force(source, target, epsilon) == 0
+            assert count_matches(source, target, epsilon) == 0
 
     def test_count_matches_empty_sides(self):
         points = np.zeros((2, 3))

@@ -10,12 +10,18 @@ from cedkit.errors import (
     NonFiniteValueError,
     NonPositiveRadiusError,
 )
-from oracles import linear_scan_neighbors
+from oracles import exact_tie_pairs, linear_scan_neighbors
 
 
 def cloud_of(xyz):
     xyz = np.asarray(xyz, dtype=float)
     return ColoredPointCloud(xyz, np.zeros_like(xyz), resolution=0.05)
+
+
+def scan_pairs(xyz, radius):
+    """Pairs i < j of the linear scan's strict-radius neighborhoods."""
+    pairs = [(i, j) for i in range(len(xyz)) for j in linear_scan_neighbors(xyz, i, radius) if j > i]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 class TestBuildIndex:
@@ -121,6 +127,13 @@ class TestNeighborGraph:
             assert np.array_equal(sorted(neighbor_sets[i]), single)
             assert counts[i] == single.size
 
+    def test_pairs_equal_scan_over_many_blocks(self, rng):
+        # about 53k pairs, so the recheck runs over several blocks
+        xyz = rng.uniform(0, 1, size=(2_000, 3))
+        graph = build_index(cloud_of(xyz)).neighbor_graph(0.2)
+        order = np.lexsort((graph.pairs[:, 1], graph.pairs[:, 0]))
+        assert np.array_equal(graph.pairs[order], scan_pairs(xyz, 0.2))
+
     def test_grid_tie_handling_matches_scan(self):
         # lattice distances land exactly on the radius; strict rule must agree
         side = np.arange(9) * 0.01
@@ -132,3 +145,22 @@ class TestNeighborGraph:
             got = index.radius_neighbors(q, 0.05)
             expected = linear_scan_neighbors(xyz, q, 0.05)
             assert np.array_equal(got, expected)
+
+
+class TestExactTies:
+    """Two-point clouds whose distance is exactly the radius, in the scan's sum."""
+
+    def test_graph_excludes_exact_ties(self, rng):
+        for p, q, radius in exact_tie_pairs(rng, 8):
+            xyz = np.array([p, q])
+            graph = build_index(cloud_of(xyz)).neighbor_graph(radius)
+            assert np.array_equal(graph.pairs, scan_pairs(xyz, radius))
+            assert list(graph.counts()) == [1, 1]
+
+    def test_radius_neighbors_exclude_exact_ties(self, rng):
+        for p, q, radius in exact_tie_pairs(rng, 8):
+            xyz = np.array([p, q])
+            index = build_index(cloud_of(xyz))
+            for query in (0, 1):
+                expected = linear_scan_neighbors(xyz, query, radius)
+                assert np.array_equal(index.radius_neighbors(query, radius), expected)
