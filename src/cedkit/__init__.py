@@ -27,10 +27,8 @@ from .detector import (
     detect_with_fields,
     export_keypoints_csv,
     export_keypoints_ply,
-    geometric_centroid,
     local_maxima,
     multimodal_nms,
-    photometric_centroid,
     prepare,
     select,
 )
@@ -79,12 +77,10 @@ __all__ = [
     "export_keypoints_csv",
     "export_keypoints_ply",
     "generate_scene",
-    "geometric_centroid",
     "local_maxima",
     "measure_runtime",
     "multimodal_nms",
     "parse_cloud",
-    "photometric_centroid",
     "prepare",
     "random_detector",
     "remove_invalid",

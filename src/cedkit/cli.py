@@ -24,6 +24,9 @@ from .baseline import detect_random
 from .cloud import ColoredPointCloud
 from .cloudio import CloudFormat, parse_cloud, sniff_format, write_cloud
 from .detector import (
+    DEFAULT_COLOR_THRESHOLD,
+    DEFAULT_GEO_THRESHOLD,
+    DEFAULT_MIN_NEIGHBORS,
     DetectorMode,
     DetectorParams,
     detect_with_fields,
@@ -32,6 +35,7 @@ from .detector import (
 )
 from .errors import CedkitError, InvalidParamsError, InvalidSpecError
 from .evaluation import (
+    DEFAULT_TRIALS,
     RepeatabilityConfig,
     ablation_csv,
     ablation_sweep,
@@ -49,7 +53,6 @@ logger = logging.getLogger("cedkit")
 DEFAULT_SEED = 7
 
 _FORMATS = {f.value: f for f in CloudFormat}
-_MODES = {"ced": DetectorMode.CED, "ced3d": DetectorMode.CED_3D}
 _KINDS = {k.value: k for k in SceneKind}
 
 
@@ -83,18 +86,18 @@ def _add_detector_flags(parser, scalar_thresholds=True):
     parser.add_argument("--radius", type=float, default=None,
                         help="search radius in meters (default 5 x cloud resolution)")
     if scalar_thresholds:
-        parser.add_argument("--tg", type=float, default=0.2,
-                            help="geometric threshold in [0, 1] (default 0.2)")
-        parser.add_argument("--tc", type=float, default=0.1,
-                            help="color threshold in [0, 3] (default 0.1)")
-    parser.add_argument("--mode", choices=["ced", "ced3d", "random"], default="ced",
-                        help="detector (default ced)")
-    parser.add_argument("--min-neighbors", type=int, default=5,
-                        help="validity floor for neighborhood size (default 5)")
+        parser.add_argument("--tg", type=float, default=DEFAULT_GEO_THRESHOLD,
+                            help="geometric threshold in [0, 1] (default %(default)s)")
+        parser.add_argument("--tc", type=float, default=DEFAULT_COLOR_THRESHOLD,
+                            help="color threshold in [0, 3] (default %(default)s)")
+    parser.add_argument("--mode", choices=[m.value for m in DetectorMode] + ["random"],
+                        default=DetectorMode.CED.value, help="detector (default %(default)s)")
+    parser.add_argument("--min-neighbors", type=int, default=DEFAULT_MIN_NEIGHBORS,
+                        help="validity floor for neighborhood size (default %(default)s)")
     parser.add_argument("--count", type=int, default=100,
-                        help="keypoint count for --mode random (default 100)")
+                        help="keypoint count for --mode random (default %(default)s)")
     parser.add_argument("--seed", type=_parse_seed, default=str(DEFAULT_SEED),
-                        help="integer seed or 'random' (default 7)")
+                        help="integer seed or 'random' (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="match radius in meters (default 2 x resolution)")
     p_repeat.add_argument("--sigma", type=float, default=None,
                           help="noise sigma in meters (default 0.5 x resolution)")
-    p_repeat.add_argument("--trials", type=int, default=10,
-                          help="number of random transforms (default 10)")
+    p_repeat.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                          help="number of random transforms (default %(default)s)")
     p_repeat.add_argument("-o", "--output", default=None, help="report CSV path")
 
     p_ablate = sub.add_parser("ablate", help="threshold sweep")
@@ -126,19 +129,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detector_flags(p_ablate, scalar_thresholds=False)
     p_ablate.add_argument("--epsilon", type=float, default=None)
     p_ablate.add_argument("--sigma", type=float, default=0.0,
-                          help="noise sigma for sweep rows (default 0)")
-    p_ablate.add_argument("--trials", type=int, default=10)
+                          help="noise sigma for sweep rows (default %(default)s)")
+    p_ablate.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p_ablate.add_argument("--tg", dest="tg_values", type=_parse_float_list,
-                          default=[0.2], help="comma-separated geometric thresholds")
+                          default=str(DEFAULT_GEO_THRESHOLD),
+                          help="comma-separated geometric thresholds (default %(default)s)")
     p_ablate.add_argument("--tc", dest="tc_values", type=_parse_float_list,
-                          default=[0.1], help="comma-separated color thresholds")
+                          default=str(DEFAULT_COLOR_THRESHOLD),
+                          help="comma-separated color thresholds (default %(default)s)")
     p_ablate.add_argument("-o", "--output", default=None, help="sweep CSV path")
 
     p_bench = sub.add_parser("bench", help="single-thread runtime measurement")
     _add_input_flags(p_bench)
     _add_detector_flags(p_bench)
     p_bench.add_argument("--trials", type=int, default=5,
-                         help="repetitions (default 5)")
+                         help="repetitions (default %(default)s)")
     p_bench.add_argument("-o", "--output", default=None, help="runtime CSV path")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic scene")
@@ -163,15 +168,18 @@ def _load_cloud(args) -> ColoredPointCloud:
 
 
 def _detector_params(args, cloud: ColoredPointCloud) -> DetectorParams:
-    overrides = {
-        "geo_threshold": getattr(args, "tg", 0.2),
-        "color_threshold": getattr(args, "tc", 0.1),
-        "mode": _MODES.get(args.mode, DetectorMode.CED),
-        "min_neighbors": args.min_neighbors,
-    }
+    overrides = {"mode": DetectorMode(args.mode), "min_neighbors": args.min_neighbors}
+    if "tg" in args:  # ablate sweeps lists of thresholds instead
+        overrides.update(geo_threshold=args.tg, color_threshold=args.tc)
     if args.radius is not None:
         overrides["radius"] = args.radius
     return DetectorParams.for_cloud(cloud, **overrides)
+
+
+def _repeat_config(args) -> RepeatabilityConfig:
+    seed = _effective_seed(args.seed)
+    return RepeatabilityConfig(epsilon=args.epsilon, sigma=args.sigma, trials=args.trials,
+                               transform_seed=seed, noise_seed=seed + 1000)
 
 
 def _effective_seed(seed: int | None) -> int:
@@ -211,13 +219,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_repeat(args) -> int:
     cloud = _load_cloud(args)
-    config = RepeatabilityConfig(
-        epsilon=args.epsilon,
-        sigma=args.sigma,
-        transform_seed=_effective_seed(args.seed),
-        noise_seed=_effective_seed(args.seed) + 1000,
-        trials=args.trials,
-    )
+    config = _repeat_config(args)
     report = evaluate_repeatability(cloud, _detector_for(args, cloud), config)
     if report.empty_keypoint_set:
         logger.warning("detector produced no keypoints; repeatability reported as 0")
@@ -229,13 +231,7 @@ def _cmd_ablate(args) -> int:
     if args.mode == "random":
         raise InvalidParamsError("ablate sweeps detector thresholds; --mode random has none")
     cloud = _load_cloud(args)
-    config = RepeatabilityConfig(
-        epsilon=args.epsilon,
-        sigma=args.sigma,
-        transform_seed=_effective_seed(args.seed),
-        noise_seed=_effective_seed(args.seed) + 1000,
-        trials=args.trials,
-    )
+    config = _repeat_config(args)
     rows = ablation_sweep(
         cloud, args.tg_values, args.tc_values, _detector_params(args, cloud), config
     )

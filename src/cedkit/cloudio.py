@@ -67,7 +67,8 @@ def parse_cloud(data: bytes, fmt: CloudFormat, resolution: float = 0.01) -> Colo
 
     Returns:
         A cloud with one point per vertex record, in file order. has_color is set
-        iff red/green/blue are all present; otherwise colors default to 0.
+        iff the file declares colors (PLY: red, green and blue; PCD: rgb);
+        otherwise colors default to 0.
 
     Raises:
         MalformedHeaderError: unreadable or contradictory declarations.
@@ -195,10 +196,32 @@ def _vertex_layout(elements):
     raise MalformedHeaderError("no vertex element declared")
 
 
-def _extract_columns(table: dict[str, np.ndarray], count: int, resolution: float):
+def _read_ascii_records(tokens: list, count: int, columns) -> dict[str, np.ndarray]:
+    """The first count records of whitespace-separated ASCII tokens, by column.
+
+    columns lists (name, is_float32) per token of a record; every value is
+    parsed as float64 and float32-typed columns are snapped to float32.
+    """
+    needed = count * len(columns)
+    if len(tokens) < needed:
+        raise TruncatedBodyError(f"need {needed} body tokens, have {len(tokens)}")
+    try:
+        values = np.array(tokens[:needed], dtype=np.float64).reshape(count, len(columns))
+    except ValueError as exc:
+        raise CloudFormatError(f"unparseable record: {exc}") from exc
+    table = {}
+    for column, (name, is_float32) in enumerate(columns):
+        col = values[:, column]
+        table[name] = col.astype(np.float32).astype(np.float64) if is_float32 else col
+    return table
+
+
+def _extract_columns(table: dict[str, np.ndarray], count: int, resolution: float,
+                     has_color: bool) -> ColoredPointCloud:
+    """The cloud from float64 columns x, y, z and, when has_color, red, green and
+    blue bytes (0-255)."""
     xyz = np.column_stack([table["x"], table["y"], table["z"]]) if count else np.zeros((0, 3))
     require_finite(xyz, "coordinates")
-    has_color = all(name in table for name in _COLOR_NAMES)
     if has_color and count:
         rgb = np.column_stack([table[c] for c in _COLOR_NAMES]) / 255.0
         require_finite(rgb, "colors")
@@ -210,6 +233,7 @@ def _extract_columns(table: dict[str, np.ndarray], count: int, resolution: float
 def _parse_ply(data: bytes, fmt: CloudFormat, resolution: float) -> ColoredPointCloud:
     elements, body_start = _parse_ply_header(data, fmt)
     count, props = _vertex_layout(elements)
+    has_color = all(color in dict(props) for color in _COLOR_NAMES)
 
     if fmt is CloudFormat.PLY_BINARY_LE:
         dtype = np.dtype([(name, code) for name, code in props])
@@ -220,23 +244,11 @@ def _parse_ply(data: bytes, fmt: CloudFormat, resolution: float) -> ColoredPoint
             )
         records = np.frombuffer(body, dtype=dtype, count=count)
         table = {name: records[name].astype(np.float64) for name, _ in props}
-        return _extract_columns(table, count, resolution)
+        return _extract_columns(table, count, resolution, has_color)
 
-    tokens = data[body_start:].split()
-    needed = count * len(props)
-    if len(tokens) < needed:
-        raise TruncatedBodyError(f"need {needed} body tokens, have {len(tokens)}")
-    try:
-        values = np.array(tokens[:needed], dtype=np.float64).reshape(count, len(props))
-    except ValueError as exc:
-        raise CloudFormatError(f"unparseable vertex record: {exc}") from exc
-    table = {}
-    for column, (name, code) in enumerate(props):
-        col = values[:, column]
-        if code == "<f4":
-            col = col.astype(np.float32).astype(np.float64)
-        table[name] = col
-    return _extract_columns(table, count, resolution)
+    columns = [(name, code == "<f4") for name, code in props]
+    table = _read_ascii_records(data[body_start:].split(), count, columns)
+    return _extract_columns(table, count, resolution, has_color)
 
 
 def _ply_header(cloud: ColoredPointCloud, format_line: str) -> list[str]:
@@ -326,9 +338,7 @@ def _parse_pcd(data: bytes, resolution: float) -> ColoredPointCloud:
         except (ValueError, IndexError) as exc:
             raise MalformedHeaderError("unreadable WIDTH/HEIGHT") from exc
 
-    layout = {}
-    for name, size, typ in zip(fields, sizes, types):
-        layout[name] = (typ, size)
+    layout = dict(zip(fields, zip(types, sizes)))
     for axis in ("x", "y", "z"):
         if axis not in layout:
             raise MalformedHeaderError(f"pcd header lacks field {axis!r}")
@@ -338,32 +348,15 @@ def _parse_pcd(data: bytes, resolution: float) -> ColoredPointCloud:
     if has_color and layout["rgb"] != ("F", "4"):
         raise UnsupportedPropertyError("field 'rgb' must be the packed F4 encoding")
 
-    tokens = " ".join(body_lines).split()
-    needed = n_points * len(fields)
-    if len(tokens) < needed:
-        raise TruncatedBodyError(f"need {needed} body tokens, have {len(tokens)}")
-    try:
-        values = np.array(tokens[:needed], dtype=np.float64).reshape(n_points, len(fields))
-    except ValueError as exc:
-        raise CloudFormatError(f"unparseable pcd record: {exc}") from exc
-
-    columns = {}
-    for column, name in enumerate(fields):
-        col = values[:, column]
-        if layout[name] == ("F", "4"):
-            col = col.astype(np.float32).astype(np.float64)
-        columns[name] = col
-    xyz = np.column_stack([columns["x"], columns["y"], columns["z"]]) if n_points else np.zeros((0, 3))
-    require_finite(xyz, "coordinates")
-    if has_color and n_points:
-        require_finite(columns["rgb"][:, None], "colors")
-        packed = columns["rgb"].astype(np.float32).view(np.uint32)
-        rgb = np.column_stack(
-            [(packed >> 16) & 0xFF, (packed >> 8) & 0xFF, packed & 0xFF]
-        ).astype(np.float64) / 255.0
-    else:
-        rgb = np.zeros((n_points, 3))
-    return ColoredPointCloud(xyz, rgb, resolution, has_color)
+    columns = [(name, layout[name] == ("F", "4")) for name in fields]
+    table = _read_ascii_records(" ".join(body_lines).split(), n_points, columns)
+    if has_color:
+        # the packed float's low 24 bits hold the red, green and blue bytes
+        require_finite(table["rgb"][:, None], "colors")
+        packed = table["rgb"].astype(np.float32).view(np.uint32)
+        for shift, name in zip((16, 8, 0), _COLOR_NAMES):
+            table[name] = ((packed >> shift) & 0xFF).astype(np.float64)
+    return _extract_columns(table, n_points, resolution, has_color)
 
 
 def _write_pcd(cloud: ColoredPointCloud) -> bytes:

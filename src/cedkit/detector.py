@@ -9,6 +9,10 @@ move with the query point. Keypoints are the points whose product of
 saliencies is not strictly beaten by any neighbor and that pass a
 per-modality threshold filter.
 
+Fields carry no modality label: the geometric field comes first and, in CED
+mode, the photometric one second (PreparedCloud names them). multimodal_nms
+takes the mask that local_maxima computes from the neighbor graph.
+
 Detection is select(prepare(cloud, params), params): prepare does everything
 the thresholds do not affect (index, neighbor graph, saliency fields and the
 local-maximum mask), select applies the thresholds. A threshold sweep thus
@@ -30,18 +34,10 @@ from scipy.sparse import coo_array
 
 from .cloud import ColoredPointCloud, require_finite
 from .cloudio import CloudFormat, write_cloud
-from .errors import (
-    EmptyNeighborhoodError,
-    InvalidParamsError,
-    MisalignedFieldsError,
-    NoColorError,
-)
+from .errors import InvalidParamsError, MisalignedFieldsError, NoColorError
 from .index import NeighborGraph, build_index
 
 logger = logging.getLogger(__name__)
-
-GEOMETRIC = "geometric"
-PHOTOMETRIC = "photometric"
 
 DEFAULT_RADIUS_FACTOR = 5.0
 DEFAULT_GEO_THRESHOLD = 0.2
@@ -58,7 +54,7 @@ class DetectorMode(Enum):
 class DetectorParams:
     """Detection parameters.
 
-    radius: neighborhood radius in meters, > 0.
+    radius: neighborhood radius in meters, finite and > 0.
     geo_threshold: in [0, 1], compared against saliency / radius.
     color_threshold: in [0, 3], compared against the raw L1 color saliency.
     mode: CED (geometry and color) or CED_3D (geometry only).
@@ -72,8 +68,8 @@ class DetectorParams:
     min_neighbors: int = DEFAULT_MIN_NEIGHBORS
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise InvalidParamsError(f"radius must be > 0, got {self.radius}")
+        if not 0 < self.radius < np.inf:
+            raise InvalidParamsError(f"radius must be finite and > 0, got {self.radius}")
         if not 0.0 <= self.geo_threshold <= 1.0:
             raise InvalidParamsError(
                 f"geometric threshold must be in [0, 1], got {self.geo_threshold}"
@@ -103,7 +99,6 @@ class SaliencyField:
     """Per-point saliency values for one modality, index-aligned with the cloud."""
 
     values: np.ndarray
-    modality: str
     valid: np.ndarray
 
     def __post_init__(self):
@@ -146,24 +141,6 @@ class DetectionResult:
     photometric: SaliencyField | None
 
 
-def geometric_centroid(cloud: ColoredPointCloud, neighbor_indices) -> np.ndarray:
-    """Per-axis mean of the geometric components of the listed points."""
-    idx = np.asarray(neighbor_indices, dtype=np.int64)
-    if idx.size == 0:
-        raise EmptyNeighborhoodError("geometric centroid of an empty neighborhood")
-    return cloud.xyz[idx].mean(axis=0)
-
-
-def photometric_centroid(cloud: ColoredPointCloud, neighbor_indices) -> np.ndarray:
-    """Per-channel mean of the color components of the listed points."""
-    if not cloud.has_color:
-        raise NoColorError("cloud carries no color")
-    idx = np.asarray(neighbor_indices, dtype=np.int64)
-    if idx.size == 0:
-        raise EmptyNeighborhoodError("photometric centroid of an empty neighborhood")
-    return cloud.rgb[idx].mean(axis=0)
-
-
 def saliency_from_graph(
     cloud: ColoredPointCloud, graph: NeighborGraph, params: DetectorParams
 ) -> tuple[SaliencyField, SaliencyField | None]:
@@ -196,11 +173,11 @@ def saliency_from_graph(
     offsets = values - sums / counts[:, None]
 
     geo_values = np.sqrt(np.einsum("ij,ij->i", offsets[:, :3], offsets[:, :3]))
-    geo = SaliencyField(np.where(valid, geo_values, 0.0), GEOMETRIC, valid)
+    geo = SaliencyField(np.where(valid, geo_values, 0.0), valid)
     if not ced:
         return geo, None
     color_values = np.abs(offsets[:, 3:]).sum(axis=1)
-    return geo, SaliencyField(np.where(valid, color_values, 0.0), PHOTOMETRIC, valid)
+    return geo, SaliencyField(np.where(valid, color_values, 0.0), valid)
 
 
 def _check_fields(fields: Sequence[SaliencyField], n: int) -> None:
@@ -246,28 +223,28 @@ def local_maxima(
 def multimodal_nms(
     fields: Sequence[SaliencyField],
     thresholds: Sequence[float],
-    neighborhoods: NeighborGraph | np.ndarray,
+    local_max: np.ndarray,
 ) -> np.ndarray:
     """Select locally best points across one or more saliency modalities.
 
     Two steps: suppression keeps the local maxima of the product of modality
-    values (see local_maxima), then the filter keeps those for which at least
-    one modality meets its threshold (values are compared with >=). Invalid
-    points are never selected and never suppress others.
+    values, which local_maxima(fields, graph) computes once as the mask
+    local_max, then the filter keeps those for which at least one modality
+    meets its threshold (values are compared with >=). Invalid points are
+    never selected and never suppress others.
 
-    neighborhoods is the neighbor graph, or the mask that local_maxima has
-    already computed from it for these fields; the mask lets a caller that
-    varies only the thresholds suppress once.
-
-    Returns ascending indices of the selected points.
+    Returns ascending indices of the selected points. Raises
+    MisalignedFieldsError unless local_max holds one flag per point.
     """
     if len(thresholds) != len(fields):
         raise MisalignedFieldsError(
             f"{len(fields)} fields but {len(thresholds)} thresholds"
         )
-    if isinstance(neighborhoods, NeighborGraph):
-        neighborhoods = local_maxima(fields, neighborhoods)
-    local_max = np.asarray(neighborhoods, dtype=bool)
+    local_max = np.asarray(local_max, dtype=bool)
+    if local_max.ndim != 1:
+        raise MisalignedFieldsError(
+            f"local_max must be a per-point mask, got shape {local_max.shape}"
+        )
     _check_fields(fields, local_max.shape[0])
 
     passes_filter = np.zeros(local_max.shape[0], dtype=bool)

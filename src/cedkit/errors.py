@@ -49,10 +49,6 @@ class IndexOutOfRangeError(CedkitError, IndexError):
     """Query index does not address a point of the source cloud."""
 
 
-class EmptyNeighborhoodError(CedkitError, ValueError):
-    """Centroid of an empty neighbor set is undefined."""
-
-
 class NoColorError(CedkitError):
     """Operation needs color but the cloud carries none."""
 
@@ -65,7 +61,7 @@ class MisalignedFieldsError(CedkitError, ValueError):
     """Saliency fields passed together do not share the same point count."""
 
 
-class CountOutOfRangeError(CedkitError, ValueError):
+class CountOutOfRangeError(InvalidParamsError):
     """Requested sample count is outside [1, cloud size]."""
 
 

@@ -41,8 +41,8 @@ DEFAULT_TRIALS = 10
 class RepeatabilityConfig:
     """Evaluation knobs; epsilon and sigma default to multiples of resolution.
 
-    epsilon: match radius in meters; None means 2 x cloud resolution.
-    sigma: noise standard deviation in meters; None means 0.5 x resolution.
+    epsilon: finite match radius > 0, in meters; None means 2 x resolution.
+    sigma: finite noise sigma >= 0, in meters; None means 0.5 x resolution.
     """
 
     epsilon: float | None = None
@@ -52,10 +52,10 @@ class RepeatabilityConfig:
     trials: int = DEFAULT_TRIALS
 
     def __post_init__(self):
-        if self.epsilon is not None and not (self.epsilon > 0):
-            raise InvalidParamsError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.sigma is not None and self.sigma < 0:
-            raise InvalidParamsError(f"sigma must be >= 0, got {self.sigma}")
+        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
+            raise InvalidParamsError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if self.sigma is not None and not 0 <= self.sigma < np.inf:
+            raise InvalidParamsError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.trials < 1:
             raise InvalidParamsError(f"trials must be >= 1, got {self.trials}")
 

@@ -40,7 +40,6 @@ class NeighborGraph:
     """
 
     n_points: int
-    radius: float
     pairs: np.ndarray  # (m, 2) int64, each row i < j
 
     def counts(self) -> np.ndarray:
@@ -93,7 +92,7 @@ class SpatialIndex:
             keep[block] = self._strictly_within(pairs[block, 0], pairs[block, 1], radius)
         if not keep.all():
             pairs = pairs[keep]
-        return NeighborGraph(len(self), radius, pairs)
+        return NeighborGraph(len(self), pairs)
 
     def _strictly_within(self, first, second, radius: float) -> np.ndarray:
         """Mask of ||g_first - g_second||2 < radius, elementwise over the indices.

@@ -11,7 +11,12 @@ import pytest
 
 import cedkit
 from cedkit import CloudFormat, detect, parse_cloud, DetectorParams
-from cedkit.cli import main
+from cedkit.cli import build_parser, main
+from cedkit.detector import (
+    DEFAULT_COLOR_THRESHOLD,
+    DEFAULT_GEO_THRESHOLD,
+    DEFAULT_MIN_NEIGHBORS,
+)
 from oracles import float32_valued_cloud
 from cedkit.cloudio import write_cloud
 
@@ -33,6 +38,14 @@ def plane_ply(tmp_path):
         ["synth", "--kind", "plane", "--extent", "0.4", "--pitch", "0.01", "-o", str(path)]
     )
     assert code == 0
+    return path
+
+
+@pytest.fixture
+def tiny_ply(tmp_path, rng):
+    """A 12-point colored cloud in binary PLY."""
+    path = tmp_path / "tiny.ply"
+    path.write_bytes(write_cloud(float32_valued_cloud(rng, 12), CloudFormat.PLY_BINARY_LE))
     return path
 
 
@@ -153,10 +166,57 @@ class TestDetect:
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_defaults_come_from_the_detector(self, capsys):
+        args = build_parser().parse_args(["detect", "-i", "x.ply"])
+        assert (args.tg, args.tc, args.min_neighbors) == (
+            DEFAULT_GEO_THRESHOLD, DEFAULT_COLOR_THRESHOLD, DEFAULT_MIN_NEIGHBORS)
+        sweep = build_parser().parse_args(["ablate", "-i", "x.ply"])
+        assert (sweep.tg_values, sweep.tc_values) == (
+            [DEFAULT_GEO_THRESHOLD], [DEFAULT_COLOR_THRESHOLD])
+        with pytest.raises(SystemExit):
+            main(["detect", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"(default {DEFAULT_GEO_THRESHOLD})" in help_text
+        assert f"(default {DEFAULT_COLOR_THRESHOLD})" in help_text
+        assert f"(default {DEFAULT_MIN_NEIGHBORS})" in help_text
+
+    @pytest.mark.parametrize("count", ["0", "13"])
+    def test_count_out_of_range_exits_2(self, tiny_ply, capsys, count):
+        code = main(["detect", "-i", str(tiny_ply), "--mode", "random", "--count", count])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("cedkit: parameter error:")
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["detect", "--no-such-flag"])
         assert excinfo.value.code == 2
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--radius", "inf"],
+            ["detect", "--radius", "nan"],
+            ["repeat", "--radius", "inf"],
+            ["repeat", "--epsilon", "inf"],
+            ["repeat", "--sigma", "nan"],
+            ["repeat", "--sigma", "inf"],
+            ["ablate", "--epsilon", "inf"],
+            ["ablate", "--sigma", "nan"],
+            ["bench", "--radius", "inf"],
+        ],
+        ids=lambda argv: "-".join(argv).replace("--", ""),
+    )
+    def test_exit_2_with_one_line(self, tiny_ply, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        code = main([argv[0], "-i", str(tiny_ply), "-o", str(out), *argv[1:]])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("cedkit: parameter error:")
+        assert "finite" in line
+        assert not out.exists()
 
 
 class TestRepeat:

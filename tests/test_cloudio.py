@@ -313,3 +313,168 @@ class TestSniff:
     def test_garbage_rejected(self):
         with pytest.raises(MalformedHeaderError):
             sniff_format(b"not a cloud at all")
+
+
+class TestColorRules:
+    """Each format decides has_color from its own declarations."""
+
+    def test_pcd_separate_channel_fields_stay_colorless(self):
+        data = (
+            b"VERSION 0.7\nFIELDS x y z red green blue\nSIZE 4 4 4 1 1 1\n"
+            b"TYPE F F F U U U\nCOUNT 1 1 1 1 1 1\nWIDTH 2\nHEIGHT 1\n"
+            b"VIEWPOINT 0 0 0 1 0 0 0\nPOINTS 2\nDATA ascii\n"
+            b"1 2 3 255 0 0\n4 5 6 0 255 0\n"
+        )
+        cloud = parse_cloud(data, CloudFormat.PCD_ASCII)
+        assert not cloud.has_color
+        assert np.array_equal(cloud.xyz, [[1, 2, 3], [4, 5, 6]])
+        assert np.array_equal(cloud.rgb, np.zeros((2, 3)))
+
+    def test_empty_pcd_with_rgb_keeps_color(self):
+        data = (
+            b"VERSION 0.7\nFIELDS x y z rgb\nSIZE 4 4 4 4\nTYPE F F F F\n"
+            b"COUNT 1 1 1 1\nWIDTH 0\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\n"
+            b"POINTS 0\nDATA ascii\n"
+        )
+        cloud = parse_cloud(data, CloudFormat.PCD_ASCII)
+        assert len(cloud) == 0
+        assert cloud.has_color
+
+    def test_empty_ply_with_colors_keeps_color(self):
+        data = PLY_ONE_RED.replace(b"element vertex 1", b"element vertex 0")
+        cloud = parse_cloud(data.replace(b"0 0 0 255 0 0\n", b""), CloudFormat.PLY_ASCII)
+        assert len(cloud) == 0
+        assert cloud.has_color
+
+
+# A stored copy of the ASCII value path the parsers used before they shared one
+# record reader: tokens -> float64, float32-typed columns snapped, then xyz
+# stacked and colors decoded (PLY: red/green/blue bytes; PCD: packed rgb).
+
+
+def reference_ply_ascii(body: bytes, count, props):
+    tokens = body.split()
+    values = np.array(tokens[: count * len(props)], dtype=np.float64).reshape(count, len(props))
+    table = {}
+    for column, (name, code) in enumerate(props):
+        col = values[:, column]
+        if code == "<f4":
+            col = col.astype(np.float32).astype(np.float64)
+        table[name] = col
+    xyz = np.column_stack([table["x"], table["y"], table["z"]]) if count else np.zeros((0, 3))
+    has_color = all(name in table for name in ("red", "green", "blue"))
+    if has_color and count:
+        rgb = np.column_stack([table[c] for c in ("red", "green", "blue")]) / 255.0
+    else:
+        rgb = np.zeros((count, 3))
+    return xyz, rgb, has_color
+
+
+def reference_pcd(body_lines, n_points, fields, layout):
+    tokens = " ".join(body_lines).split()
+    values = np.array(tokens[: n_points * len(fields)], dtype=np.float64).reshape(
+        n_points, len(fields))
+    columns = {}
+    for column, name in enumerate(fields):
+        col = values[:, column]
+        if layout[name] == ("F", "4"):
+            col = col.astype(np.float32).astype(np.float64)
+        columns[name] = col
+    xyz = np.column_stack([columns["x"], columns["y"], columns["z"]]) if n_points else np.zeros((0, 3))
+    has_color = "rgb" in layout
+    if has_color and n_points:
+        packed = columns["rgb"].astype(np.float32).view(np.uint32)
+        rgb = np.column_stack(
+            [(packed >> 16) & 0xFF, (packed >> 8) & 0xFF, packed & 0xFF]
+        ).astype(np.float64) / 255.0
+    else:
+        rgb = np.zeros((n_points, 3))
+    return xyz, rgb, has_color
+
+
+def random_float_tokens(rng, n):
+    """Decimal tokens of random magnitude, written at random precision."""
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    styles = ("{:.17g}", "{:.9g}", "{:.3f}", "{:e}", "{:.0f}")
+    return [styles[rng.integers(len(styles))].format(v) for v in values]
+
+
+def random_ply_ascii(rng):
+    count = int(rng.integers(0, 20))
+    props = [(axis, ("<f4", "<f8")[rng.integers(2)]) for axis in ("x", "y", "z")]
+    if rng.random() < 0.7:
+        props += [(c, "u1") for c in ("red", "green", "blue")]
+    if rng.random() < 0.5:
+        props.append(("intensity", ("<f4", "<f8")[rng.integers(2)]))
+    props = [props[i] for i in rng.permutation(len(props))]
+    names = {"<f4": "float", "<f8": "double", "u1": "uchar"}
+    header = ["ply", "format ascii 1.0", f"element vertex {count}"]
+    header += [f"property {names[code]} {name}" for name, code in props]
+    columns = [
+        [str(v) for v in rng.integers(0, 256, size=count)] if code == "u1"
+        else random_float_tokens(rng, count)
+        for _, code in props
+    ]
+    rows = [" ".join(record) for record in zip(*columns)]
+    body = ("\n".join(rows) + "\n").encode() if rows else b""
+    return ("\n".join(header) + "\nend_header\n").encode() + body, body, count, props
+
+
+def random_pcd(rng):
+    n = int(rng.integers(0, 20))
+    layout = {axis: ("F", ("4", "8")[rng.integers(2)]) for axis in ("x", "y", "z")}
+    if rng.random() < 0.6:
+        layout["rgb"] = ("F", "4")
+    if rng.random() < 0.3:
+        layout.update({c: ("U", "1") for c in ("red", "green", "blue")})
+    if rng.random() < 0.4:
+        layout["intensity"] = ("F", ("4", "8")[rng.integers(2)])
+    fields = [list(layout)[i] for i in rng.permutation(len(layout))]
+    columns = []
+    for name in fields:
+        if name == "rgb":
+            packed = rng.integers(0, 1 << 24, size=n).astype(np.uint32).view(np.float32)
+            columns.append([f"{float(v):.9g}" for v in packed])
+        elif layout[name][0] == "U":
+            columns.append([str(v) for v in rng.integers(0, 256, size=n)])
+        else:
+            columns.append(random_float_tokens(rng, n))
+    body_lines = [" ".join(record) for record in zip(*columns)]
+    header = [
+        "VERSION 0.7",
+        "FIELDS " + " ".join(fields),
+        "SIZE " + " ".join(layout[f][1] for f in fields),
+        "TYPE " + " ".join(layout[f][0] for f in fields),
+        "COUNT " + " ".join("1" for _ in fields),
+        f"WIDTH {n}",
+        "HEIGHT 1",
+        "VIEWPOINT 0 0 0 1 0 0 0",
+        f"POINTS {n}",
+        "DATA ascii",
+    ]
+    data = ("\n".join(header + body_lines) + "\n").encode()
+    return data, body_lines, n, fields, layout
+
+
+class TestAsciiParseMatchesReference:
+    """PLY ASCII and PCD parse bit-identical xyz/rgb to the stored value path."""
+
+    def assert_same(self, cloud, expected):
+        xyz, rgb, has_color = expected
+        assert cloud.has_color == has_color
+        assert cloud.xyz.tobytes() == xyz.astype(np.float64).tobytes()
+        assert cloud.rgb.tobytes() == rgb.astype(np.float64).tobytes()
+
+    def test_ply_ascii(self):
+        rng = np.random.default_rng(61)
+        for _ in range(1000):
+            data, body, count, props = random_ply_ascii(rng)
+            cloud = parse_cloud(data, CloudFormat.PLY_ASCII)
+            self.assert_same(cloud, reference_ply_ascii(body, count, props))
+
+    def test_pcd(self):
+        rng = np.random.default_rng(62)
+        for _ in range(1000):
+            data, body_lines, n, fields, layout = random_pcd(rng)
+            cloud = parse_cloud(data, CloudFormat.PCD_ASCII)
+            self.assert_same(cloud, reference_pcd(body_lines, n, fields, layout))

@@ -23,17 +23,14 @@ from cedkit import (
     export_keypoints_csv,
     export_keypoints_ply,
     generate_scene,
-    geometric_centroid,
     local_maxima,
     multimodal_nms,
     parse_cloud,
-    photometric_centroid,
     prepare,
     sample_rigid_transform,
     select,
 )
 from cedkit.errors import (
-    EmptyNeighborhoodError,
     InvalidParamsError,
     MisalignedFieldsError,
     NoColorError,
@@ -76,6 +73,11 @@ class TestDetectorParams:
         with pytest.raises(InvalidParamsError):
             DetectorParams(radius=0.0)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            DetectorParams(radius=radius)
+
     def test_for_cloud_defaults(self, small_cloud):
         params = DetectorParams.for_cloud(small_cloud)
         assert params.radius == 5.0 * small_cloud.resolution
@@ -84,46 +86,67 @@ class TestDetectorParams:
 
 
 class TestCentroids:
+    """The centroid definitions, read through the saliency fields.
+
+    With min_neighbors=1 every point is valid, so each field value is the
+    distance from the point to its neighborhood's centroid: geometric
+    saliency is the L2 norm of that offset, color saliency its L1 norm.
+    """
+
+    ALL = DetectorParams(radius=10.0, min_neighbors=1)
+
+    def fields(self, cloud, params=ALL):
+        graph = build_index(cloud).neighbor_graph(params.radius)
+        return saliency_from_graph(cloud, graph, params)
+
     def test_single_neighbor_gives_zero_offset(self, small_cloud):
-        centroid = geometric_centroid(small_cloud, [7])
-        assert np.array_equal(centroid, small_cloud.xyz[7])
+        # below the closest spacing every neighborhood is the point alone
+        geo, photo = self.fields(small_cloud, DetectorParams(radius=1e-6, min_neighbors=1))
+        assert geo.valid.all()
+        assert not geo.values.any() and not photo.values.any()
 
     def test_mean_of_two(self):
         cloud = ColoredPointCloud(
             [[0, 0, 0], [0.04, 0, 0]], [[0, 0, 0], [0, 0, 0]]
         )
-        assert np.allclose(geometric_centroid(cloud, [0, 1]), [0.02, 0, 0])
+        geo, _ = self.fields(cloud)
+        assert np.allclose(geo.values, [0.02, 0.02])
 
     def test_matches_compensated_sum(self, rng):
         cloud = random_colored_cloud(rng, 200)
-        idx = np.arange(200)
-        assert np.abs(
-            geometric_centroid(cloud, idx) - compensated_mean(cloud.xyz)
-        ).max() < 1e-12
-        assert np.abs(
-            photometric_centroid(cloud, idx) - compensated_mean(cloud.rgb)
-        ).max() < 1e-12
+        geo, photo = self.fields(cloud)
+        geo_offsets = cloud.xyz - compensated_mean(cloud.xyz)
+        color_offsets = cloud.rgb - compensated_mean(cloud.rgb)
+        assert np.abs(geo.values - np.sqrt((geo_offsets**2).sum(axis=1))).max() < 1e-12
+        assert np.abs(photo.values - np.abs(color_offsets).sum(axis=1)).max() < 1e-12
 
     def test_constant_white_neighborhood(self):
         rgb = np.ones((5, 3))
         cloud = ColoredPointCloud(np.zeros((5, 3)), rgb)
-        assert np.array_equal(photometric_centroid(cloud, range(5)), [1, 1, 1])
+        _, photo = self.fields(cloud)
+        assert np.array_equal(photo.values, np.zeros(5))
 
     def test_half_black_half_white(self):
+        # every channel sits 0.5 from the centroid (0.5, 0.5, 0.5): L1 1.5
         rgb = np.vstack([np.zeros((4, 3)), np.ones((4, 3))])
         cloud = ColoredPointCloud(np.zeros((8, 3)), rgb)
-        assert np.allclose(photometric_centroid(cloud, range(8)), [0.5, 0.5, 0.5])
+        _, photo = self.fields(cloud)
+        assert np.allclose(photo.values, np.full(8, 1.5))
 
-    def test_empty_neighborhood_rejected(self, small_cloud):
-        with pytest.raises(EmptyNeighborhoodError):
-            geometric_centroid(small_cloud, [])
-        with pytest.raises(EmptyNeighborhoodError):
-            photometric_centroid(small_cloud, [])
+    def test_isolated_point_is_its_own_neighborhood(self):
+        # a neighborhood is never empty: it always holds its own point
+        cloud = ColoredPointCloud([[0, 0, 0], [5, 5, 5]], [[1, 0, 0], [0, 1, 0]])
+        graph = build_index(cloud).neighbor_graph(0.1)
+        assert graph.counts().tolist() == [1, 1]
+        geo, photo = self.fields(cloud, DetectorParams(radius=0.1, min_neighbors=1))
+        assert geo.valid.all()
+        assert geo.values.tolist() == [0.0, 0.0]
+        assert photo.values.tolist() == [0.0, 0.0]
 
     def test_colorless_cloud_rejected(self):
         cloud = ColoredPointCloud([[0, 0, 0]], [[0, 0, 0]], has_color=False)
         with pytest.raises(NoColorError):
-            photometric_centroid(cloud, [0])
+            self.fields(cloud)
 
 
 class TestComputeSaliency:
@@ -190,7 +213,7 @@ class TestComputeSaliency:
         graph = build_index(cloud).neighbor_graph(params.radius)
         geo, photo = saliency_from_graph(cloud, graph, params)
         assert photo is None
-        assert geo.modality == "geometric"
+        assert len(geo) == len(cloud)
 
     def test_ced_mode_needs_color(self, rng):
         xyz = rng.uniform(0, 1, (40, 3))
@@ -238,7 +261,7 @@ class TestMultimodalNms:
         params = DetectorParams(radius=0.25, mode=DetectorMode.CED_3D)
         geo, _ = saliency_from_graph(cloud, graph, params)
         threshold = 0.05
-        got = multimodal_nms([geo], [threshold], graph)
+        got = multimodal_nms([geo], [threshold], local_maxima([geo], graph))
 
         expected = []
         for i in range(len(cloud)):
@@ -259,7 +282,7 @@ class TestMultimodalNms:
         via_nms = multimodal_nms(
             [geo, photo],
             [params.geo_threshold * params.radius, params.color_threshold],
-            graph,
+            local_maxima([geo, photo], graph),
         )
         assert np.array_equal(via_nms, detect(cloud, params).indices)
 
@@ -269,9 +292,10 @@ class TestMultimodalNms:
         index = build_index(cloud)
         graph = index.neighbor_graph(params.radius)
         geo, photo = saliency_from_graph(cloud, graph, params)
-        third = SaliencyField(rng.uniform(0, 1, size=300), "synthetic", geo.valid)
+        third = SaliencyField(rng.uniform(0, 1, size=300), geo.valid)
         thresholds = [0.04, 0.25, 0.5]
-        got = multimodal_nms([geo, photo, third], thresholds, graph)
+        fields = [geo, photo, third]
+        got = multimodal_nms(fields, thresholds, local_maxima(fields, graph))
 
         neighbor_sets = [linear_scan_neighbors(cloud.xyz, i, 0.25) for i in range(300)]
         expected = nms_transcription(
@@ -289,21 +313,31 @@ class TestMultimodalNms:
         graph = build_index(cloud).neighbor_graph(0.1)
         values = np.array([0.5, 0.4, 9.0])
         valid = np.array([True, True, False])
-        field = SaliencyField(values, "synthetic", valid)
-        got = multimodal_nms([field], [0.1], graph)
+        field = SaliencyField(values, valid)
+        got = multimodal_nms([field], [0.1], local_maxima([field], graph))
         assert got.tolist() == [0]
 
     def test_misalignment_rejected(self, small_cloud):
         graph = build_index(small_cloud).neighbor_graph(0.2)
-        field = SaliencyField(np.zeros(len(small_cloud)), "synthetic", np.ones(len(small_cloud), bool))
-        short = SaliencyField(np.zeros(10), "synthetic", np.ones(10, bool))
+        field = SaliencyField(np.zeros(len(small_cloud)), np.ones(len(small_cloud), bool))
+        short = SaliencyField(np.zeros(10), np.ones(10, bool))
+        mask = local_maxima([field], graph)
         with pytest.raises(MisalignedFieldsError):
-            multimodal_nms([field], [0.1, 0.2], graph)
+            multimodal_nms([field], [0.1, 0.2], mask)
         with pytest.raises(MisalignedFieldsError):
-            multimodal_nms([short], [0.1], graph)
+            multimodal_nms([short], [0.1], mask)
         with pytest.raises(MisalignedFieldsError):
-            multimodal_nms([], [], graph)
+            multimodal_nms([], [], mask)
+        with pytest.raises(MisalignedFieldsError):
+            local_maxima([short], graph)
 
+    def test_mask_must_hold_one_flag_per_point(self, small_cloud):
+        graph = build_index(small_cloud).neighbor_graph(0.2)
+        field = SaliencyField(np.zeros(len(small_cloud)), np.ones(len(small_cloud), bool))
+        mask = local_maxima([field], graph)
+        for wrong in (mask[:-1], mask[:, None], mask[0], graph):
+            with pytest.raises(MisalignedFieldsError):
+                multimodal_nms([field], [0.1], wrong)
 
     def test_mask_step_equals_graph_step(self, rng):
         cloud = random_colored_cloud(rng, 250)
@@ -312,10 +346,16 @@ class TestMultimodalNms:
         graph = index.neighbor_graph(params.radius)
         fields = list(saliency_from_graph(cloud, graph, params))
         mask = local_maxima(fields, graph)
+        neighbor_sets = [[i] for i in range(len(cloud))]
+        for i, j in graph.pairs:
+            neighbor_sets[i].append(j)
+            neighbor_sets[j].append(i)
         for thresholds in ([0.0, 0.0], [0.05, 0.3], [0.2, 3.0]):
             assert np.array_equal(
                 multimodal_nms(fields, thresholds, mask),
-                multimodal_nms(fields, thresholds, graph),
+                nms_transcription(
+                    [f.values for f in fields], thresholds, neighbor_sets, fields[0].valid
+                ),
             )
         with pytest.raises(MisalignedFieldsError):
             multimodal_nms(fields, [0.1, 0.1], mask[:-1])

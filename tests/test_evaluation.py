@@ -50,6 +50,12 @@ class TestRepeatabilityConfig:
         with pytest.raises(InvalidParamsError):
             RepeatabilityConfig(trials=0)
 
+    @pytest.mark.parametrize("field", ["epsilon", "sigma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            RepeatabilityConfig(**{field: value})
+
 
 class TestEvaluateRepeatability:
     def test_identity_transform_gives_exactly_one(self, rng):
