@@ -12,7 +12,6 @@ from .cloud import (
     RigidTransform,
     add_gaussian_noise,
     apply_rigid_transform,
-    remove_invalid,
     voxel_downsample,
 )
 from .cloudio import CloudFormat, parse_cloud, sniff_format, write_cloud
@@ -83,7 +82,6 @@ __all__ = [
     "parse_cloud",
     "prepare",
     "random_detector",
-    "remove_invalid",
     "sample_rigid_transform",
     "select",
     "sniff_format",

@@ -6,7 +6,7 @@ import numpy as np
 
 from .cloud import ColoredPointCloud
 from .detector import KeypointSet
-from .errors import CountOutOfRangeError
+from .errors import InvalidParamsError
 
 
 def detect_random(cloud: ColoredPointCloud, count: int, seed: int) -> KeypointSet:
@@ -18,7 +18,7 @@ def detect_random(cloud: ColoredPointCloud, count: int, seed: int) -> KeypointSe
     """
     n = len(cloud)
     if not 1 <= count <= n:
-        raise CountOutOfRangeError(f"count must be in [1, {n}], got {count}")
+        raise InvalidParamsError(f"count must be in [1, {n}], got {count}")
     rng = np.random.default_rng(seed)
     pool = np.arange(n, dtype=np.int64)
     for k in range(count):

@@ -33,7 +33,7 @@ from .detector import (
     export_keypoints_csv,
     export_keypoints_ply,
 )
-from .errors import CedkitError, InvalidParamsError, InvalidSpecError
+from .errors import CedkitError, InvalidParamsError
 from .evaluation import (
     DEFAULT_TRIALS,
     RepeatabilityConfig,
@@ -297,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _configure_logging()
         return _COMMANDS[args.command](args)
-    except (InvalidParamsError, InvalidSpecError) as exc:
+    except InvalidParamsError as exc:
         print(f"cedkit: parameter error: {exc}", file=sys.stderr)
         return 2
     except (CedkitError, OSError) as exc:

@@ -5,6 +5,10 @@ A cloud stores geometry as an (n, 3) float64 array of meters and color as an
 indices are stable identifiers, and every operation that does not add or
 remove points preserves them. All containers are frozen after construction,
 so sharing clouds between threads is safe.
+
+Invariant: every coordinate and color of a cloud is finite. It is checked
+once, when the cloud is built (NonFiniteValueError otherwise), so parsers,
+the index and the detector can rely on it without checking again.
 """
 
 from __future__ import annotations
@@ -13,12 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidTransformError,
-    NegativeSigmaError,
-    NonFiniteValueError,
-    NonPositiveLeafError,
-)
+from .errors import InvalidParamsError, InvalidTransformError, NonFiniteValueError
 
 ROTATION_TOLERANCE = 1e-9
 
@@ -38,7 +37,7 @@ def _frozen_array(values, columns: int) -> np.ndarray:
     if arr.size == 0:
         arr = arr.reshape(0, columns)
     if arr.ndim != 2 or arr.shape[1] != columns:
-        raise ValueError(f"expected an (n, {columns}) array, got shape {arr.shape}")
+        raise InvalidParamsError(f"expected an (n, {columns}) array, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -48,9 +47,9 @@ class ColoredPointCloud:
     """Ordered collection of colored points plus sampling-pitch metadata.
 
     Attributes:
-        xyz: (n, 3) coordinates in meters.
-        rgb: (n, 3) color channels in [0, 1]; all zeros when has_color is False.
-        resolution: declared sampling pitch in meters, > 0.
+        xyz: (n, 3) finite coordinates in meters.
+        rgb: (n, 3) finite color channels in [0, 1]; all zeros when has_color is False.
+        resolution: declared sampling pitch in meters, finite and > 0.
         has_color: whether the color channels carry real data.
     """
 
@@ -63,9 +62,11 @@ class ColoredPointCloud:
         object.__setattr__(self, "xyz", _frozen_array(self.xyz, 3))
         object.__setattr__(self, "rgb", _frozen_array(self.rgb, 3))
         if self.xyz.shape[0] != self.rgb.shape[0]:
-            raise ValueError("xyz and rgb must have the same number of rows")
-        if not (self.resolution > 0):
-            raise ValueError(f"resolution must be > 0, got {self.resolution}")
+            raise InvalidParamsError("xyz and rgb must have the same number of rows")
+        require_finite(self.xyz, "coordinates")
+        require_finite(self.rgb, "colors")
+        if not (0 < self.resolution < np.inf):
+            raise InvalidParamsError(f"resolution must be finite and > 0, got {self.resolution}")
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
@@ -106,20 +107,6 @@ class RigidTransform:
         return points @ self.rotation.T + self.translation
 
 
-def remove_invalid(cloud: ColoredPointCloud) -> ColoredPointCloud:
-    """Drop every point with a non-finite coordinate or color channel.
-
-    Keeps the original order of the survivors. Idempotent; the result may
-    be empty.
-    """
-    mask = np.isfinite(cloud.xyz).all(axis=1) & np.isfinite(cloud.rgb).all(axis=1)
-    if mask.all():
-        return cloud
-    return ColoredPointCloud(
-        cloud.xyz[mask], cloud.rgb[mask], cloud.resolution, cloud.has_color
-    )
-
-
 def voxel_downsample(cloud: ColoredPointCloud, leaf: float) -> ColoredPointCloud:
     """Collapse points into one averaged point per occupied voxel.
 
@@ -129,7 +116,7 @@ def voxel_downsample(cloud: ColoredPointCloud, leaf: float) -> ColoredPointCloud
     voxel key, and its resolution is set to `leaf`.
     """
     if not (leaf > 0):
-        raise NonPositiveLeafError(f"leaf must be > 0, got {leaf}")
+        raise InvalidParamsError(f"leaf must be > 0, got {leaf}")
     n = len(cloud)
     if n == 0:
         return ColoredPointCloud(cloud.xyz, cloud.rgb, leaf, cloud.has_color)
@@ -166,8 +153,8 @@ def add_gaussian_noise(cloud: ColoredPointCloud, sigma: float, seed: int) -> Col
     a bit-identical result. Colors are never touched; sigma = 0 returns the
     cloud unchanged.
     """
-    if sigma < 0:
-        raise NegativeSigmaError(f"sigma must be >= 0, got {sigma}")
+    if not (0 <= sigma < np.inf):
+        raise InvalidParamsError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return cloud
     rng = np.random.default_rng(seed)

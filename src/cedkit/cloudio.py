@@ -74,7 +74,8 @@ def parse_cloud(data: bytes, fmt: CloudFormat, resolution: float = 0.01) -> Colo
         MalformedHeaderError: unreadable or contradictory declarations.
         TruncatedBodyError: fewer records than declared.
         UnsupportedPropertyError: property type or layout outside scope.
-        NonFiniteValueError: a coordinate or color is NaN or infinite.
+        NonFiniteValueError: a coordinate or color is NaN or infinite (the
+            cloud's constructor checks; PCD checks its packed rgb float).
     """
     if fmt in (CloudFormat.PLY_ASCII, CloudFormat.PLY_BINARY_LE):
         return _parse_ply(data, fmt, resolution)
@@ -221,10 +222,8 @@ def _extract_columns(table: dict[str, np.ndarray], count: int, resolution: float
     """The cloud from float64 columns x, y, z and, when has_color, red, green and
     blue bytes (0-255)."""
     xyz = np.column_stack([table["x"], table["y"], table["z"]]) if count else np.zeros((0, 3))
-    require_finite(xyz, "coordinates")
     if has_color and count:
         rgb = np.column_stack([table[c] for c in _COLOR_NAMES]) / 255.0
-        require_finite(rgb, "colors")
     else:
         rgb = np.zeros((count, 3))
     return ColoredPointCloud(xyz, rgb, resolution, has_color)
@@ -351,7 +350,8 @@ def _parse_pcd(data: bytes, resolution: float) -> ColoredPointCloud:
     columns = [(name, layout[name] == ("F", "4")) for name in fields]
     table = _read_ascii_records(" ".join(body_lines).split(), n_points, columns)
     if has_color:
-        # the packed float's low 24 bits hold the red, green and blue bytes
+        # the packed float's low 24 bits hold the red, green and blue bytes,
+        # which are finite even when the float read from the file is not
         require_finite(table["rgb"][:, None], "colors")
         packed = table["rgb"].astype(np.float32).view(np.uint32)
         for shift, name in zip((16, 8, 0), _COLOR_NAMES):

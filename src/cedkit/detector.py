@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import coo_array
 
-from .cloud import ColoredPointCloud, require_finite
+from .cloud import ColoredPointCloud
 from .cloudio import CloudFormat, write_cloud
 from .errors import InvalidParamsError, MisalignedFieldsError, NoColorError
 from .index import NeighborGraph, build_index
@@ -148,7 +148,7 @@ def saliency_from_graph(
 
     Invalid points (neighborhood smaller than min_neighbors) get value 0.
     The photometric field is produced only in CED mode, which rejects
-    colorless clouds and NaN or infinite colors.
+    colorless clouds.
     """
     counts = graph.counts()
     valid = counts >= params.min_neighbors
@@ -157,7 +157,6 @@ def saliency_from_graph(
     if ced:
         if not cloud.has_color:
             raise NoColorError("CED mode needs a colored cloud; use CED_3D instead")
-        require_finite(cloud.rgb, "colors")
         values = np.hstack([cloud.xyz, cloud.rgb])
     else:
         values = cloud.xyz
@@ -287,8 +286,6 @@ def prepare(cloud: ColoredPointCloud, params: DetectorParams) -> PreparedCloud:
     Builds the index, the neighbor graph and the saliency fields, then the
     local-maximum mask; geo_threshold and color_threshold are not read.
     """
-    if params.mode is DetectorMode.CED and not cloud.has_color:
-        raise NoColorError("CED mode needs a colored cloud; use CED_3D instead")
     graph = build_index(cloud).neighbor_graph(params.radius)
     geo, photo = saliency_from_graph(cloud, graph, params)
     if photo is not None and photo.valid.any() and not photo.values[photo.valid].any():

@@ -29,20 +29,8 @@ class EmptyCloudError(CedkitError):
     """Operation requires a non-empty cloud."""
 
 
-class NonPositiveLeafError(CedkitError, ValueError):
-    """Voxel leaf size must be strictly positive."""
-
-
 class InvalidTransformError(CedkitError, ValueError):
     """Rotation is not orthonormal with determinant +1 within tolerance."""
-
-
-class NegativeSigmaError(CedkitError, ValueError):
-    """Noise standard deviation must be non-negative."""
-
-
-class NonPositiveRadiusError(CedkitError, ValueError):
-    """Search radius must be strictly positive."""
 
 
 class IndexOutOfRangeError(CedkitError, IndexError):
@@ -54,16 +42,8 @@ class NoColorError(CedkitError):
 
 
 class InvalidParamsError(CedkitError, ValueError):
-    """Detector or evaluation parameters violate their documented ranges."""
+    """A parameter, scene specification or cloud shape is outside its documented range."""
 
 
 class MisalignedFieldsError(CedkitError, ValueError):
     """Saliency fields passed together do not share the same point count."""
-
-
-class CountOutOfRangeError(InvalidParamsError):
-    """Requested sample count is outside [1, cloud size]."""
-
-
-class InvalidSpecError(CedkitError, ValueError):
-    """Scene specification violates its documented ranges."""

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import ColoredPointCloud, require_finite
-from .errors import EmptyCloudError, IndexOutOfRangeError, NonPositiveRadiusError
+from .cloud import ColoredPointCloud
+from .errors import EmptyCloudError, IndexOutOfRangeError, InvalidParamsError
 
 # Candidate radius inflation; guards against last-ulp disagreement between the
 # tree's internal metric and the strict test below.
@@ -29,6 +29,11 @@ _CANDIDATE_SLACK = 1.0 + 1e-9
 # each) stay in cache, which made the recheck of a 99k-point room's 2.4M pairs
 # about 2.5x faster than one pass over all of them.
 _RECHECK_BLOCK = 1 << 13
+
+
+def _require_radius(radius: float) -> None:
+    if not (0 < radius < np.inf):
+        raise InvalidParamsError(f"radius must be finite and > 0, got {radius}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,6 @@ class SpatialIndex:
     def __init__(self, cloud: ColoredPointCloud):
         if len(cloud) == 0:
             raise EmptyCloudError("cannot index an empty cloud")
-        require_finite(cloud.xyz, "coordinates")
         self._xyz = cloud.xyz
         self._tree = cKDTree(self._xyz)
         # Contiguous per-axis columns: the strict test gathers one axis at a time.
@@ -67,8 +71,7 @@ class SpatialIndex:
 
         The query point itself is always included (its distance is 0).
         """
-        if not (radius > 0):
-            raise NonPositiveRadiusError(f"radius must be > 0, got {radius}")
+        _require_radius(radius)
         n = len(self)
         if not 0 <= query_index < n:
             raise IndexOutOfRangeError(f"query index {query_index} not in [0, {n})")
@@ -82,8 +85,7 @@ class SpatialIndex:
 
     def neighbor_graph(self, radius: float) -> NeighborGraph:
         """All strict-radius neighbor pairs at once; the bulk-query primitive."""
-        if not (radius > 0):
-            raise NonPositiveRadiusError(f"radius must be > 0, got {radius}")
+        _require_radius(radius)
         pairs = self._tree.query_pairs(radius * _CANDIDATE_SLACK, output_type="ndarray")
         pairs = pairs.astype(np.int64, copy=False)
         keep = np.empty(len(pairs), dtype=bool)
@@ -110,8 +112,5 @@ class SpatialIndex:
 
 
 def build_index(cloud: ColoredPointCloud) -> SpatialIndex:
-    """Build an index over all points of a non-empty cloud.
-
-    Raises NonFiniteValueError when a coordinate is NaN or infinite.
-    """
+    """Build an index over all points of a non-empty cloud."""
     return SpatialIndex(cloud)

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .cloud import ColoredPointCloud
-from .errors import InvalidSpecError
+from .errors import InvalidParamsError
 
 Color = tuple[float, float, float]
 
@@ -40,7 +40,11 @@ class SceneKind(Enum):
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Parameters of a generated scene; the cloud resolution equals pitch."""
+    """Parameters of a generated scene; the cloud resolution equals pitch.
+
+    Requires 0 < pitch <= extent < inf, 0 < tile < inf, 0 <= jitter < 0.5 and
+    colors of three channels in [0, 1]; InvalidParamsError otherwise.
+    """
 
     kind: SceneKind
     extent: float = 1.0
@@ -54,19 +58,19 @@ class SceneSpec:
 
     def __post_init__(self):
         if not isinstance(self.kind, SceneKind):
-            raise InvalidSpecError(f"kind must be a SceneKind, got {self.kind!r}")
-        if not (self.pitch > 0):
-            raise InvalidSpecError(f"pitch must be > 0, got {self.pitch}")
-        if not (self.extent >= self.pitch):
-            raise InvalidSpecError("extent must be at least one pitch")
-        if not (self.tile > 0):
-            raise InvalidSpecError(f"tile must be > 0, got {self.tile}")
+            raise InvalidParamsError(f"kind must be a SceneKind, got {self.kind!r}")
+        if not (0 < self.pitch <= self.extent < np.inf):
+            raise InvalidParamsError(
+                f"need 0 < pitch <= extent < inf, got pitch {self.pitch}, extent {self.extent}"
+            )
+        if not (0 < self.tile < np.inf):
+            raise InvalidParamsError(f"tile must be finite and > 0, got {self.tile}")
         if not 0.0 <= self.jitter < 0.5:
-            raise InvalidSpecError(f"jitter must be in [0, 0.5), got {self.jitter}")
+            raise InvalidParamsError(f"jitter must be in [0, 0.5), got {self.jitter}")
         for name in ("base_color", "alt_color", "wall_color"):
             color = getattr(self, name)
             if len(color) != 3 or not all(0.0 <= c <= 1.0 for c in color):
-                raise InvalidSpecError(f"{name} must be three channels in [0, 1]")
+                raise InvalidParamsError(f"{name} must be three channels in [0, 1]")
 
 
 def _grid(i_range, j_range):
@@ -152,7 +156,7 @@ def generate_scene(spec: SceneSpec) -> ColoredPointCloud:
         rgb = np.vstack([part[1] for part in parts])
 
     else:  # pragma: no cover - enum is exhaustive
-        raise InvalidSpecError(f"unhandled scene kind {spec.kind!r}")
+        raise InvalidParamsError(f"unhandled scene kind {spec.kind!r}")
 
     if spec.jitter > 0:
         rng = np.random.default_rng(spec.seed)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cedkit import detect_random
-from cedkit.errors import CountOutOfRangeError
+from cedkit.errors import InvalidParamsError
 from oracles import random_colored_cloud
 
 
@@ -30,9 +30,9 @@ class TestDetectRandom:
 
     def test_count_bounds(self, rng):
         cloud = random_colored_cloud(rng, 20)
-        with pytest.raises(CountOutOfRangeError):
+        with pytest.raises(InvalidParamsError):
             detect_random(cloud, 0, seed=0)
-        with pytest.raises(CountOutOfRangeError):
+        with pytest.raises(InvalidParamsError):
             detect_random(cloud, 21, seed=0)
 
     def test_selection_frequencies_uniform(self, rng):

@@ -77,6 +77,18 @@ class TestSynth:
         code = main(["synth", "--kind", "plane", "--pitch", "-1", "-o", str(tmp_path / "x.ply")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--extent", "inf", "--pitch", "inf"], ["--extent", "inf"], ["--tile", "inf"]],
+        ids=lambda flags: "-".join(flags).replace("--", ""),
+    )
+    def test_non_finite_spec_exits_2_with_one_line(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.ply"
+        assert main(["synth", "--kind", "plane", *flags, "-o", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("cedkit: parameter error:")
+        assert not out.exists()
+
 
 class TestDetect:
     def test_csv_to_stdout_matches_library(self, plane_ply, capsys):

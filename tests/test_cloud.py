@@ -8,16 +8,11 @@ from cedkit import (
     RigidTransform,
     add_gaussian_noise,
     apply_rigid_transform,
-    remove_invalid,
     sample_rigid_transform,
     voxel_downsample,
 )
-from cedkit.errors import (
-    InvalidTransformError,
-    NegativeSigmaError,
-    NonPositiveLeafError,
-)
-from oracles import voxel_bins_brute_force
+from cedkit.errors import InvalidParamsError, InvalidTransformError, NonFiniteValueError
+from oracles import random_colored_cloud, voxel_bins_brute_force
 
 
 def make_cloud(xyz, rgb=None, resolution=0.01):
@@ -42,44 +37,40 @@ class TestColoredPointCloud:
     def test_resolution_must_be_positive(self):
         with pytest.raises(ValueError):
             make_cloud([[0, 0, 0]], resolution=0.0)
+        with pytest.raises(InvalidParamsError):
+            make_cloud([[0, 0, 0]], resolution=0.0)
+
+    @pytest.mark.parametrize("resolution", [np.nan, np.inf])
+    def test_resolution_must_be_finite(self, resolution):
+        with pytest.raises(InvalidParamsError):
+            make_cloud([[0, 0, 0]], resolution=resolution)
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
             ColoredPointCloud(np.zeros((2, 3)), np.zeros((3, 3)))
+        with pytest.raises(InvalidParamsError):
+            ColoredPointCloud(np.zeros((2, 3)), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2), (1, 3, 3)])
+    def test_array_shape_rejected(self, shape):
+        with pytest.raises(InvalidParamsError):
+            ColoredPointCloud(np.zeros(shape), np.zeros((1, 3)))
+        with pytest.raises(InvalidParamsError):
+            ColoredPointCloud(np.zeros((1, 3)), np.zeros(shape))
 
-class TestRemoveInvalid:
-    def test_clean_cloud_unchanged(self, small_cloud):
-        assert remove_invalid(small_cloud) is small_cloud
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, value):
+        xyz = np.zeros((3, 3))
+        xyz[1, 0] = value
+        with pytest.raises(NonFiniteValueError):
+            make_cloud(xyz)
 
-    def test_nan_rows_dropped_in_order(self):
-        xyz = np.zeros((10, 3))
-        xyz[:, 0] = np.arange(10)
-        xyz[[2, 5, 7], 2] = np.nan
-        cloud = make_cloud(xyz)
-        cleaned = remove_invalid(cloud)
-        assert len(cleaned) == 7
-        assert list(cleaned.xyz[:, 0]) == [0, 1, 3, 4, 6, 8, 9]
-
-    def test_survivors_are_complement_of_injected(self, rng):
-        xyz = rng.uniform(0, 1, size=(200, 3))
-        rgb = rng.uniform(0, 1, size=(200, 3))
-        bad = rng.choice(200, size=40, replace=False)
-        xyz[bad[:20], 1] = np.inf
-        rgb[bad[20:], 0] = np.nan
-        cloud = ColoredPointCloud(xyz, rgb)
-        cleaned = remove_invalid(cloud)
-        expected = sorted(set(range(200)) - set(bad.tolist()))
-        assert np.array_equal(cleaned.xyz, xyz[expected])
-        assert np.array_equal(cleaned.rgb, rgb[expected])
-
-    def test_idempotent(self, rng):
-        xyz = rng.uniform(0, 1, size=(50, 3))
-        xyz[3, 0] = np.nan
-        cloud = make_cloud(xyz)
-        once = remove_invalid(cloud)
-        twice = remove_invalid(once)
-        assert np.array_equal(once.xyz, twice.xyz)
+    def test_nan_color_rejected(self, rng):
+        cloud = random_colored_cloud(rng, 300)
+        rgb = cloud.rgb.copy()
+        rgb[17] = [np.nan, 0.5, 0.5]
+        with pytest.raises(NonFiniteValueError, match="colors of 1 point"):
+            ColoredPointCloud(cloud.xyz, rgb)
 
 
 class TestVoxelDownsample:
@@ -117,7 +108,7 @@ class TestVoxelDownsample:
         assert as_tuples == sorted(as_tuples)
 
     def test_leaf_must_be_positive(self, small_cloud):
-        with pytest.raises(NonPositiveLeafError):
+        with pytest.raises(InvalidParamsError):
             voxel_downsample(small_cloud, 0.0)
 
     def test_empty_cloud_allowed(self):
@@ -193,5 +184,10 @@ class TestGaussianNoise:
         assert np.all(np.abs(stds - 0.005) < 0.02 * 0.005)
 
     def test_negative_sigma_rejected(self, small_cloud):
-        with pytest.raises(NegativeSigmaError):
+        with pytest.raises(InvalidParamsError):
             add_gaussian_noise(small_cloud, -0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, small_cloud, sigma):
+        with pytest.raises(InvalidParamsError):
+            add_gaussian_noise(small_cloud, sigma, seed=0)

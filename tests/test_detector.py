@@ -34,7 +34,6 @@ from cedkit.errors import (
     InvalidParamsError,
     MisalignedFieldsError,
     NoColorError,
-    NonFiniteValueError,
 )
 from oracles import (
     compensated_mean,
@@ -497,18 +496,6 @@ class TestDetect:
             detect(cloud, DetectorParams(radius=0.3))
         keys = detect(cloud, DetectorParams(radius=0.3, mode=DetectorMode.CED_3D))
         assert keys.indices.size >= 0
-
-    def test_nan_color_rejected_in_ced_mode_only(self, rng):
-        cloud = random_colored_cloud(rng, 300)
-        rgb = cloud.rgb.copy()
-        rgb[17] = [np.nan, 0.5, 0.5]
-        cloud = ColoredPointCloud(cloud.xyz, rgb)
-        with pytest.raises(NonFiniteValueError, match="colors of 1 point"):
-            detect(cloud, DetectorParams(radius=0.25))
-        params = DetectorParams(radius=0.25, mode=DetectorMode.CED_3D)
-        assert np.array_equal(
-            detect(cloud, params).indices, detect_brute_force(cloud, params)
-        )
 
 
 class TestExports:

@@ -4,21 +4,29 @@ import numpy as np
 import pytest
 
 from cedkit import SceneKind, SceneSpec, generate_scene
-from cedkit.errors import InvalidSpecError
+from cedkit.errors import InvalidParamsError
 
 
 class TestSceneSpec:
     def test_validation(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidParamsError):
             SceneSpec(kind=SceneKind.PLANE, pitch=0.0)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidParamsError):
             SceneSpec(kind=SceneKind.PLANE, extent=0.001, pitch=0.01)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidParamsError):
             SceneSpec(kind=SceneKind.PLANE, jitter=0.5)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidParamsError):
             SceneSpec(kind=SceneKind.PLANE, base_color=(2.0, 0.0, 0.0))
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidParamsError):
             SceneSpec(kind="plane")
+        with pytest.raises(InvalidParamsError):
+            SceneSpec(kind=SceneKind.PLANE, extent=np.inf, pitch=np.inf)
+        with pytest.raises(InvalidParamsError):
+            SceneSpec(kind=SceneKind.PLANE, extent=np.inf)
+        with pytest.raises(InvalidParamsError):
+            SceneSpec(kind=SceneKind.PLANE, tile=np.inf)
+        with pytest.raises(InvalidParamsError):
+            SceneSpec(kind=SceneKind.PLANE, pitch=np.nan)
 
 
 class TestPlane:
