@@ -2,8 +2,9 @@
 
 Per point, saliency is the distance from the point to the centroid of its
 strict-radius neighborhood: L2 in geometric space, L1 in RGB space. Both
-centroids come from one neighborhood sum over the [xyz|rgb] columns, taken
-as a sparse product over the neighbor graph's pairs. Both measures are
+centroids come from one neighborhood sum over the [xyz|rgb|1] columns, taken
+as a sparse product over the neighbor graph's two contiguous pair columns;
+the ones column sums to the neighborhood sizes. Both measures are
 invariant to rigid motion because the neighborhood's shape (and its colors)
 move with the query point. Keypoints are the points whose product of
 saliencies is not strictly beaten by any neighbor and that pass a
@@ -43,6 +44,10 @@ DEFAULT_RADIUS_FACTOR = 5.0
 DEFAULT_GEO_THRESHOLD = 0.2
 DEFAULT_COLOR_THRESHOLD = 0.1
 DEFAULT_MIN_NEIGHBORS = 5
+# Pairs per block in local_maxima: a block's widened indices and gathered
+# products (64 KiB each) stay in cache. On a 99k-point room's 2.4M int32 pairs
+# this took the two np.maximum.at passes from about 30 ms to 21 ms.
+_PAIR_BLOCK = 1 << 13
 
 
 class DetectorMode(Enum):
@@ -147,29 +152,23 @@ def saliency_from_graph(
     """Saliency fields over a prebuilt neighbor graph.
 
     Invalid points (neighborhood smaller than min_neighbors) get value 0.
-    The photometric field is produced only in CED mode, which rejects
-    colorless clouds.
+    The photometric field is produced only in CED mode, which needs a
+    colored cloud (prepare checks that before it builds the graph).
     """
-    counts = graph.counts()
-    valid = counts >= params.min_neighbors
-
+    n = graph.n_points
     ced = params.mode is DetectorMode.CED
-    if ced:
-        if not cloud.has_color:
-            raise NoColorError("CED mode needs a colored cloud; use CED_3D instead")
-        values = np.hstack([cloud.xyz, cloud.rgb])
-    else:
-        values = cloud.xyz
+    columns = [cloud.xyz, cloud.rgb] if ced else [cloud.xyz]
+    values = np.hstack(columns + [np.ones((n, 1))])
 
     # Neighborhood sums over the upper-triangular pairs U: every pair adds
     # each end's values to the other's sum, and every point counts itself.
-    n = graph.n_points
-    upper = coo_array(
-        (np.ones(graph.pairs.shape[0]), (graph.pairs[:, 0], graph.pairs[:, 1])),
-        shape=(n, n),
-    )
+    # The last column, all ones, thus sums to the neighborhood size.
+    first, second = graph.pairs.T
+    upper = coo_array((np.ones(first.shape[0]), (first, second)), shape=(n, n))
     sums = upper @ values + upper.T @ values + values
-    offsets = values - sums / counts[:, None]
+    counts = sums[:, -1]
+    valid = counts >= params.min_neighbors
+    offsets = values[:, :-1] - sums[:, :-1] / counts[:, None]
 
     geo_values = np.sqrt(np.einsum("ij,ij->i", offsets[:, :3], offsets[:, :3]))
     geo = SaliencyField(np.where(valid, geo_values, 0.0), valid)
@@ -213,9 +212,13 @@ def local_maxima(
     # beat anyone. Values are non-negative, so -1 is inert.
     masked = np.where(valid, product, -1.0)
     neighborhood_max = masked.copy()
-    first, second = neighborhoods.pairs[:, 0], neighborhoods.pairs[:, 1]
-    np.maximum.at(neighborhood_max, first, masked[second])
-    np.maximum.at(neighborhood_max, second, masked[first])
+    first, second = neighborhoods.pairs.T
+    for start in range(0, first.shape[0], _PAIR_BLOCK):
+        # ufunc.at and the gathers take intp indices: widen each block once.
+        i = first[start:start + _PAIR_BLOCK].astype(np.intp)
+        j = second[start:start + _PAIR_BLOCK].astype(np.intp)
+        np.maximum.at(neighborhood_max, i, masked[j])
+        np.maximum.at(neighborhood_max, j, masked[i])
     return valid & ~(neighborhood_max > product)
 
 
@@ -285,7 +288,10 @@ def prepare(cloud: ColoredPointCloud, params: DetectorParams) -> PreparedCloud:
 
     Builds the index, the neighbor graph and the saliency fields, then the
     local-maximum mask; geo_threshold and color_threshold are not read.
+    Raises NoColorError for CED mode on a colorless cloud before any work.
     """
+    if params.mode is DetectorMode.CED and not cloud.has_color:
+        raise NoColorError("CED mode needs a colored cloud; use CED_3D instead")
     graph = build_index(cloud).neighbor_graph(params.radius)
     geo, photo = saliency_from_graph(cloud, graph, params)
     if photo is not None and photo.valid.any() and not photo.values[photo.valid].any():

@@ -8,8 +8,13 @@ strict test is re-evaluated here with plain float64 arithmetic. The squared
 distance is summed one axis at a time, x then y then z, which is the order in
 which a linear scan's ``(d**2).sum(axis=1)`` sums it, so every distance equals
 the scan's bit for bit. That makes results exact: ties at exactly r are
-excluded by both this index and any brute-force check. When no candidate is
-dropped (the usual case), the tree's candidate array is kept as it is.
+excluded by both this index and any brute-force check.
+
+The neighbor graph stores its pairs column-major: the (m, 2) ``pairs`` array
+is the transpose of a C-contiguous (2, m) buffer, so each column is one
+contiguous run, and the indices are int32 whenever the cloud's indices fit
+(8 bytes per pair). The buffer is filled block by block while each block of
+the tree's candidate pairs is rechecked, then the tree's buffer is freed.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ from .errors import EmptyCloudError, IndexOutOfRangeError, InvalidParamsError
 # tree's internal metric and the strict test below.
 _CANDIDATE_SLACK = 1.0 + 1e-9
 # Pairs rechecked per block in neighbor_graph: a block's temporaries (64 KiB
-# each) stay in cache, which made the recheck of a 99k-point room's 2.4M pairs
-# about 2.5x faster than one pass over all of them.
+# each) stay in cache. Re-measured with the int32 columns on a 99k-point
+# room's 2.4M pairs: 8,192 and 16,384 pairs per block tie (about 46 ms with
+# the column fill), 4,096 is slower, one pass over all pairs takes 2.2x longer.
 _RECHECK_BLOCK = 1 << 13
 
 
@@ -41,15 +47,14 @@ class NeighborGraph:
     """Strict-radius adjacency: unordered index pairs (i < j) within radius.
 
     Every point is implicitly its own neighbor; the pairs carry only the
-    distinct-point edges, 16 bytes each.
+    distinct-point edges. pairs is (m, 2) with rows i < j in the tree's
+    query order, stored column-major (pairs.T is C-contiguous) as int32,
+    8 bytes per pair; int64 only when n_points exceeds the int32 range.
+    Read the columns as ``first, second = graph.pairs.T``.
     """
 
     n_points: int
-    pairs: np.ndarray  # (m, 2) int64, each row i < j
-
-    def counts(self) -> np.ndarray:
-        """Neighborhood sizes including the point itself."""
-        return np.bincount(self.pairs.ravel(), minlength=self.n_points) + 1
+    pairs: np.ndarray  # (m, 2), each row i < j; each column contiguous
 
 
 class SpatialIndex:
@@ -86,15 +91,23 @@ class SpatialIndex:
     def neighbor_graph(self, radius: float) -> NeighborGraph:
         """All strict-radius neighbor pairs at once; the bulk-query primitive."""
         _require_radius(radius)
-        pairs = self._tree.query_pairs(radius * _CANDIDATE_SLACK, output_type="ndarray")
-        pairs = pairs.astype(np.int64, copy=False)
-        keep = np.empty(len(pairs), dtype=bool)
-        for start in range(0, len(pairs), _RECHECK_BLOCK):
+        candidates = self._tree.query_pairs(radius * _CANDIDATE_SLACK, output_type="ndarray")
+        narrow = len(self) - 1 <= np.iinfo(np.int32).max
+        columns = np.empty((2, len(candidates)), dtype=np.int32 if narrow else np.int64)
+        keep = np.empty(len(candidates), dtype=bool)
+        for start in range(0, len(candidates), _RECHECK_BLOCK):
             block = slice(start, start + _RECHECK_BLOCK)
-            keep[block] = self._strictly_within(pairs[block, 0], pairs[block, 1], radius)
+            # One contiguous intp copy per column and block; it serves the
+            # recheck's gathers and fills the narrow column.
+            first = np.ascontiguousarray(candidates[block, 0], dtype=np.intp)
+            second = np.ascontiguousarray(candidates[block, 1], dtype=np.intp)
+            columns[0, block] = first
+            columns[1, block] = second
+            keep[block] = self._strictly_within(first, second, radius)
+        del candidates
         if not keep.all():
-            pairs = pairs[keep]
-        return NeighborGraph(len(self), pairs)
+            columns = np.compress(keep, columns, axis=1)
+        return NeighborGraph(len(self), columns.T)
 
     def _strictly_within(self, first, second, radius: float) -> np.ndarray:
         """Mask of ||g_first - g_second||2 < radius, elementwise over the indices.

@@ -42,8 +42,9 @@ class SceneKind(Enum):
 class SceneSpec:
     """Parameters of a generated scene; the cloud resolution equals pitch.
 
-    Requires 0 < pitch <= extent < inf, 0 < tile < inf, 0 <= jitter < 0.5 and
-    colors of three channels in [0, 1]; InvalidParamsError otherwise.
+    Requires 0 < pitch <= extent < inf, 0 < tile < inf, finite extent / pitch
+    and tile / pitch, 0 <= jitter < 0.5 and colors of three channels in
+    [0, 1]; InvalidParamsError otherwise.
     """
 
     kind: SceneKind
@@ -65,6 +66,11 @@ class SceneSpec:
             )
         if not (0 < self.tile < np.inf):
             raise InvalidParamsError(f"tile must be finite and > 0, got {self.tile}")
+        for name in ("extent", "tile"):
+            if not np.isfinite(getattr(self, name) / self.pitch):
+                raise InvalidParamsError(
+                    f"{name} / pitch must be finite, got {getattr(self, name)} / {self.pitch}"
+                )
         if not 0.0 <= self.jitter < 0.5:
             raise InvalidParamsError(f"jitter must be in [0, 0.5), got {self.jitter}")
         for name in ("base_color", "alt_color", "wall_color"):

@@ -79,7 +79,8 @@ class TestSynth:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--extent", "inf", "--pitch", "inf"], ["--extent", "inf"], ["--tile", "inf"]],
+        [["--extent", "inf", "--pitch", "inf"], ["--extent", "inf"], ["--tile", "inf"],
+         ["--extent", "1e300", "--pitch", "1e-10"], ["--extent", "1e-9", "--tile", "1e300", "--pitch", "1e-10"]],
         ids=lambda flags: "-".join(flags).replace("--", ""),
     )
     def test_non_finite_spec_exits_2_with_one_line(self, tmp_path, capsys, flags):

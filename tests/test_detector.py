@@ -35,6 +35,7 @@ from cedkit.errors import (
     MisalignedFieldsError,
     NoColorError,
 )
+from cedkit.index import NeighborGraph
 from oracles import (
     compensated_mean,
     detect_brute_force,
@@ -136,7 +137,7 @@ class TestCentroids:
         # a neighborhood is never empty: it always holds its own point
         cloud = ColoredPointCloud([[0, 0, 0], [5, 5, 5]], [[1, 0, 0], [0, 1, 0]])
         graph = build_index(cloud).neighbor_graph(0.1)
-        assert graph.counts().tolist() == [1, 1]
+        assert (np.bincount(graph.pairs.ravel(), minlength=2) + 1).tolist() == [1, 1]
         geo, photo = self.fields(cloud, DetectorParams(radius=0.1, min_neighbors=1))
         assert geo.valid.all()
         assert geo.values.tolist() == [0.0, 0.0]
@@ -145,7 +146,7 @@ class TestCentroids:
     def test_colorless_cloud_rejected(self):
         cloud = ColoredPointCloud([[0, 0, 0]], [[0, 0, 0]], has_color=False)
         with pytest.raises(NoColorError):
-            self.fields(cloud)
+            prepare(cloud, self.ALL)
 
 
 class TestComputeSaliency:
@@ -217,9 +218,57 @@ class TestComputeSaliency:
     def test_ced_mode_needs_color(self, rng):
         xyz = rng.uniform(0, 1, (40, 3))
         cloud = ColoredPointCloud(xyz, np.zeros((40, 3)), has_color=False)
-        graph = build_index(cloud).neighbor_graph(0.3)
         with pytest.raises(NoColorError):
-            saliency_from_graph(cloud, graph, DetectorParams(radius=0.3))
+            prepare(cloud, DetectorParams(radius=0.3))
+
+    def test_color_checked_before_the_index_is_built(self, rng, monkeypatch):
+        def no_index(cloud):
+            raise AssertionError("build_index reached")
+
+        monkeypatch.setattr("cedkit.detector.build_index", no_index)
+        cloud = ColoredPointCloud(rng.uniform(0, 1, (40, 3)), np.zeros((40, 3)),
+                                  has_color=False)
+        with pytest.raises(NoColorError):
+            prepare(cloud, DetectorParams(radius=0.3))
+        with pytest.raises(NoColorError):
+            detect(cloud, DetectorParams(radius=0.3))
+
+
+class TestGraphLayout:
+    """The graph's pairs are two contiguous 4-byte columns, and the per-pair
+    passes give the same bits over any other layout of the same pairs."""
+
+    ROOM = SceneSpec(kind=SceneKind.ROOM_COMPOSITE, extent=0.3, pitch=0.01, tile=0.1,
+                     jitter=0.35, seed=5)
+
+    @pytest.mark.parametrize("radius", [0.04, 0.05])
+    def test_column_major_int32_pairs(self, radius):
+        room = generate_scene(self.ROOM)
+        # the lattice has pairs at exactly the radius, which the recheck drops
+        lattice = ColoredPointCloud(*exact_pitch_plane(pitch=0.01))
+        for cloud in (room, lattice):
+            pairs = build_index(cloud).neighbor_graph(radius).pairs
+            m = pairs.shape[0]
+            assert m > 0 and pairs.shape == (m, 2)
+            assert np.all(pairs[:, 0] < pairs[:, 1])
+            first, second = pairs.T
+            assert first.flags.c_contiguous and second.flags.c_contiguous
+            assert pairs.nbytes == 8 * m
+
+    @pytest.mark.parametrize("mode", list(DetectorMode))
+    def test_any_pair_layout_gives_identical_fields_and_mask(self, mode):
+        room = generate_scene(self.ROOM)
+        params = DetectorParams(radius=0.04, mode=mode)
+        graph = build_index(room).neighbor_graph(params.radius)
+        assert graph.pairs.shape[0] > 8 * 8192  # several blocks
+        wide = NeighborGraph(graph.n_points, np.ascontiguousarray(graph.pairs, dtype=np.int64))
+        fields = [f for f in saliency_from_graph(room, graph, params) if f is not None]
+        wide_fields = [f for f in saliency_from_graph(room, wide, params) if f is not None]
+        assert len(fields) == len(wide_fields)
+        for field, wide_field in zip(fields, wide_fields):
+            assert np.array_equal(field.values, wide_field.values)
+            assert np.array_equal(field.valid, wide_field.valid)
+        assert np.array_equal(local_maxima(fields, graph), local_maxima(wide_fields, wide))
 
 
 class TestRigidInvariance:

@@ -27,6 +27,10 @@ class TestSceneSpec:
             SceneSpec(kind=SceneKind.PLANE, tile=np.inf)
         with pytest.raises(InvalidParamsError):
             SceneSpec(kind=SceneKind.PLANE, pitch=np.nan)
+        with pytest.raises(InvalidParamsError):
+            SceneSpec(kind=SceneKind.PLANE, extent=1e300, pitch=1e-10)
+        with pytest.raises(InvalidParamsError):
+            SceneSpec(kind=SceneKind.PLANE, extent=1e-9, tile=1e300, pitch=1e-10)
 
 
 class TestPlane:
