@@ -170,7 +170,8 @@ def saliency_from_graph(
     valid = counts >= params.min_neighbors
     offsets = values[:, :-1] - sums[:, :-1] / counts[:, None]
 
-    geo_values = np.sqrt(np.einsum("ij,ij->i", offsets[:, :3], offsets[:, :3]))
+    # Squares added x, then y, then z: the oracle's order, bit for bit.
+    geo_values = np.sqrt(offsets[:, 0] ** 2 + offsets[:, 1] ** 2 + offsets[:, 2] ** 2)
     geo = SaliencyField(np.where(valid, geo_values, 0.0), valid)
     if not ced:
         return geo, None

@@ -1,14 +1,21 @@
 """Fixed-radius neighbor search over the geometric components of a cloud.
 
-The index wraps a balanced k-d tree but owns the boundary semantics: a
-neighborhood is the set of points at strict L2 distance < r from the query,
-and the query point always belongs to its own neighborhood. The tree is used
-only to produce candidates (queried with a slightly inflated radius); the
-strict test is re-evaluated here with plain float64 arithmetic. The squared
-distance is summed one axis at a time, x then y then z, which is the order in
-which a linear scan's ``(d**2).sum(axis=1)`` sums it, so every distance equals
-the scan's bit for bit. That makes results exact: ties at exactly r are
-excluded by both this index and any brute-force check.
+The index wraps a sliding-midpoint k-d tree (Maneewongvatana and Mount,
+1999: each cell is split at its midpoint, slid to the nearest point when one
+side would be empty) but owns the boundary semantics: a neighborhood is the
+set of points at strict L2 distance < r from the query, and the query point
+always belongs to its own neighborhood. The tree is used only to produce
+candidates (queried with a slightly inflated radius); the strict test is
+re-evaluated here with plain float64 arithmetic. The squared distance is
+summed one axis at a time, x then y then z, which is the order in which a
+linear scan's ``(d**2).sum(axis=1)`` sums it, so every distance equals the
+scan's bit for bit. That makes results exact: ties at exactly r are excluded
+by both this index and any brute-force check.
+
+The pair set is therefore fixed by the data and the radius alone, but the
+order in which the pairs come out follows the tree's layout. Saliency sums
+each neighborhood in pair order, so the last ulp of a centroid, and thus of
+the color field, follows the tree too.
 
 The neighbor graph stores its pairs column-major: the (m, 2) ``pairs`` array
 is the transpose of a C-contiguous (2, m) buffer, so each column is one
@@ -64,7 +71,10 @@ class SpatialIndex:
         if len(cloud) == 0:
             raise EmptyCloudError("cannot index an empty cloud")
         self._xyz = cloud.xyz
-        self._tree = cKDTree(self._xyz)
+        # Sliding-midpoint splits instead of median partitioning: on a
+        # 99k-point room at r=0.04 (2.4M pairs), build plus query_pairs take
+        # about 0.75x the balanced tree's time.
+        self._tree = cKDTree(self._xyz, balanced_tree=False, compact_nodes=False)
         # Contiguous per-axis columns: the strict test gathers one axis at a time.
         self._columns = tuple(np.ascontiguousarray(self._xyz[:, axis]) for axis in range(3))
 
@@ -97,10 +107,7 @@ class SpatialIndex:
         keep = np.empty(len(candidates), dtype=bool)
         for start in range(0, len(candidates), _RECHECK_BLOCK):
             block = slice(start, start + _RECHECK_BLOCK)
-            # One contiguous intp copy per column and block; it serves the
-            # recheck's gathers and fills the narrow column.
-            first = np.ascontiguousarray(candidates[block, 0], dtype=np.intp)
-            second = np.ascontiguousarray(candidates[block, 1], dtype=np.intp)
+            first, second = candidates[block, 0], candidates[block, 1]
             columns[0, block] = first
             columns[1, block] = second
             keep[block] = self._strictly_within(first, second, radius)

@@ -30,6 +30,10 @@ from .errors import InvalidParamsError
 
 Color = tuple[float, float, float]
 
+# Largest scene generate_scene builds (16.8M points, about 0.8 GB of float64
+# coordinates and colors); SceneSpec rejects a larger one before allocating.
+MAX_SCENE_POINTS = 1 << 24
+
 
 class SceneKind(Enum):
     PLANE = "plane"
@@ -43,8 +47,8 @@ class SceneSpec:
     """Parameters of a generated scene; the cloud resolution equals pitch.
 
     Requires 0 < pitch <= extent < inf, 0 < tile < inf, finite extent / pitch
-    and tile / pitch, 0 <= jitter < 0.5 and colors of three channels in
-    [0, 1]; InvalidParamsError otherwise.
+    and tile / pitch, 0 <= jitter < 0.5, colors of three channels in [0, 1]
+    and at most MAX_SCENE_POINTS points; InvalidParamsError otherwise.
     """
 
     kind: SceneKind
@@ -77,6 +81,35 @@ class SceneSpec:
             color = getattr(self, name)
             if len(color) != 3 or not all(0.0 <= c <= 1.0 for c in color):
                 raise InvalidParamsError(f"{name} must be three channels in [0, 1]")
+        count = self.n_points
+        if count > MAX_SCENE_POINTS:
+            raise InvalidParamsError(
+                f"scene would have {count} points, more than {MAX_SCENE_POINTS}; "
+                "raise pitch or lower extent"
+            )
+
+    @property
+    def n_points(self) -> int:
+        """Number of points generate_scene returns, counted without allocating."""
+        n = _cells(self)
+        side = n + 1
+        if self.kind in (SceneKind.PLANE, SceneKind.CHECKER_FLOOR):
+            return side * side
+        if self.kind is SceneKind.BOX_CORNER:
+            return side * side + side * n + n * n
+        # room: floor and ceiling, then four walls without their shared edges
+        inner_height = min(_room_layers(self), n) - 1
+        return 2 * side * side + 2 * side * inner_height + 2 * (n - 1) * inner_height
+
+
+def _cells(spec: SceneSpec) -> int:
+    """Pitches along each horizontal side of the scene."""
+    return int(round(spec.extent / spec.pitch))
+
+
+def _room_layers(spec: SceneSpec) -> int:
+    """Pitches from a room's floor to its ceiling."""
+    return max(2, int(round(0.4 * spec.extent / spec.pitch)))
 
 
 def _grid(i_range, j_range):
@@ -93,7 +126,7 @@ def _checker_colors(ix, iy, tiles_per, base, alt):
 def generate_scene(spec: SceneSpec) -> ColoredPointCloud:
     """Deterministic cloud for the spec; identical spec, identical cloud."""
     p = spec.pitch
-    n = int(round(spec.extent / p))
+    n = _cells(spec)
     side = np.arange(n + 1)
     base = np.asarray(spec.base_color, dtype=np.float64)
     alt = np.asarray(spec.alt_color, dtype=np.float64)
@@ -122,7 +155,7 @@ def generate_scene(spec: SceneSpec) -> ColoredPointCloud:
         rgb = np.tile(base, (xyz.shape[0], 1))
 
     elif spec.kind is SceneKind.ROOM_COMPOSITE:
-        n_z = max(2, int(round(0.4 * spec.extent / p)))
+        n_z = _room_layers(spec)
         height = side[: n_z + 1]
         inner = side[1:-1]
         inner_height = height[1:-1]

@@ -90,6 +90,13 @@ class TestSynth:
         assert line.startswith("cedkit: parameter error:")
         assert not out.exists()
 
+    def test_oversized_scene_exits_2_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "x.ply"
+        assert main(["synth", "--kind", "plane", "--pitch", "1e-10", "-o", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("cedkit: parameter error: scene would have")
+        assert not out.exists()
+
 
 class TestDetect:
     def test_csv_to_stdout_matches_library(self, plane_ply, capsys):

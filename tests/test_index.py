@@ -143,6 +143,45 @@ class TestNeighborGraph:
             assert np.array_equal(got, expected)
 
 
+def _duplicated_sites(rng):
+    return np.repeat(rng.uniform(0, 0.2, size=(20, 3)), 50, axis=0)
+
+
+def _collinear(rng):
+    # pitch 0.01 puts neighbors at exactly r = 0.01 and r = 0.05
+    return np.column_stack([np.arange(1_000) * 0.01, np.zeros(1_000), np.zeros(1_000)])
+
+
+def _coplanar_lattice(rng):
+    gx, gy = np.meshgrid(np.arange(30) * 0.01, np.arange(30) * 0.01, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+
+
+def _far_clusters(rng):
+    cluster = rng.uniform(0, 0.1, size=(200, 3))
+    return np.vstack([cluster, rng.uniform(0, 0.1, size=(200, 3)) + 1e6])
+
+
+def _identical(rng):
+    return np.full((700, 3), 0.25)
+
+
+class TestDegenerateLayouts:
+    """Layouts that stress the tree's splits: duplicates, ties, flat and far-apart data."""
+
+    @pytest.mark.parametrize("radius", [0.01, 0.05])
+    @pytest.mark.parametrize(
+        "layout",
+        [_duplicated_sites, _collinear, _coplanar_lattice, _far_clusters, _identical],
+        ids=lambda layout: layout.__name__.lstrip("_"),
+    )
+    def test_pairs_equal_scan(self, rng, layout, radius):
+        xyz = layout(rng)
+        graph = build_index(cloud_of(xyz)).neighbor_graph(radius)
+        order = np.lexsort((graph.pairs[:, 1], graph.pairs[:, 0]))
+        assert np.array_equal(graph.pairs[order], scan_pairs(xyz, radius))
+
+
 class TestExactTies:
     """Two-point clouds whose distance is exactly the radius, in the scan's sum."""
 

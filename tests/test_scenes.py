@@ -5,6 +5,7 @@ import pytest
 
 from cedkit import SceneKind, SceneSpec, generate_scene
 from cedkit.errors import InvalidParamsError
+from cedkit.scenes import MAX_SCENE_POINTS
 
 
 class TestSceneSpec:
@@ -31,6 +32,23 @@ class TestSceneSpec:
             SceneSpec(kind=SceneKind.PLANE, extent=1e300, pitch=1e-10)
         with pytest.raises(InvalidParamsError):
             SceneSpec(kind=SceneKind.PLANE, extent=1e-9, tile=1e300, pitch=1e-10)
+
+    @pytest.mark.parametrize("kind", list(SceneKind))
+    @pytest.mark.parametrize("extent, pitch", [(0.01, 0.01), (0.02, 0.01), (0.05, 0.02), (0.13, 0.01), (0.3, 0.05)])
+    def test_point_count_matches_generated_scene(self, kind, extent, pitch):
+        spec = SceneSpec(kind=kind, extent=extent, pitch=pitch)
+        assert spec.n_points == len(generate_scene(spec))
+
+    @pytest.mark.parametrize("kind", list(SceneKind))
+    def test_too_many_points_rejected(self, kind):
+        with pytest.raises(InvalidParamsError, match="points, more than"):
+            SceneSpec(kind=kind, pitch=1e-10)
+
+    def test_point_limit_is_inclusive(self):
+        # a 4096 x 4096 plane is exactly the limit; one more row and column is over
+        assert SceneSpec(kind=SceneKind.PLANE, extent=4095.0, pitch=1.0).n_points == MAX_SCENE_POINTS
+        with pytest.raises(InvalidParamsError):
+            SceneSpec(kind=SceneKind.PLANE, extent=4096.0, pitch=1.0)
 
 
 class TestPlane:
