@@ -12,7 +12,6 @@ from .cloud import (
     RigidTransform,
     add_gaussian_noise,
     apply_rigid_transform,
-    voxel_downsample,
 )
 from .cloudio import CloudFormat, parse_cloud, sniff_format, write_cloud
 from .detector import (
@@ -85,7 +84,6 @@ __all__ = [
     "sample_rigid_transform",
     "select",
     "sniff_format",
-    "voxel_downsample",
     "write_cloud",
 ]
 

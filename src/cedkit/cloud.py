@@ -1,9 +1,9 @@
-"""Colored point clouds and the operations that reshape them.
+"""Colored point clouds and the operations that move them.
 
 A cloud stores geometry as an (n, 3) float64 array of meters and color as an
 (n, 3) float64 array of unit-range RGB channels. Point order is meaningful:
-indices are stable identifiers, and every operation that does not add or
-remove points preserves them. All containers are frozen after construction,
+indices are stable identifiers, and every operation here (rigid motion,
+noise) preserves them. All containers are frozen after construction,
 so sharing clouds between threads is safe.
 
 Invariant: every coordinate and color of a cloud is finite. It is checked
@@ -105,36 +105,6 @@ class RigidTransform:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return points @ self.rotation.T + self.translation
-
-
-def voxel_downsample(cloud: ColoredPointCloud, leaf: float) -> ColoredPointCloud:
-    """Collapse points into one averaged point per occupied voxel.
-
-    Voxels are half-open cubes of edge `leaf`; a point belongs to the cell
-    floor(coordinate / leaf) on each axis. The output carries the per-voxel
-    arithmetic mean of all six fields, ordered by ascending (kx, ky, kz)
-    voxel key, and its resolution is set to `leaf`.
-    """
-    if not (leaf > 0):
-        raise InvalidParamsError(f"leaf must be > 0, got {leaf}")
-    n = len(cloud)
-    if n == 0:
-        return ColoredPointCloud(cloud.xyz, cloud.rgb, leaf, cloud.has_color)
-    keys = np.floor(cloud.xyz / leaf).astype(np.int64)
-    unique_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = np.ravel(inverse)
-    m = unique_keys.shape[0]
-    counts = np.bincount(inverse, minlength=m).astype(np.float64)
-    sums = np.zeros((m, 3))
-    np.add.at(sums, inverse, cloud.xyz)
-    color_sums = np.zeros((m, 3))
-    np.add.at(color_sums, inverse, cloud.rgb)
-    return ColoredPointCloud(
-        sums / counts[:, None],
-        color_sums / counts[:, None],
-        leaf,
-        cloud.has_color,
-    )
 
 
 def apply_rigid_transform(cloud: ColoredPointCloud, transform: RigidTransform) -> ColoredPointCloud:

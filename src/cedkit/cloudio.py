@@ -165,7 +165,7 @@ def _parse_ply_header(data: bytes, fmt: CloudFormat):
         elif tokens[0] == "property":
             if not elements:
                 raise MalformedHeaderError("property declared before any element")
-            if tokens[1] == "list":
+            if len(tokens) > 1 and tokens[1] == "list":
                 raise UnsupportedPropertyError("list properties are not supported")
             if len(tokens) != 3:
                 raise MalformedHeaderError(f"unreadable property line {line!r}")
@@ -217,15 +217,19 @@ def _read_ascii_records(tokens: list, count: int, columns) -> dict[str, np.ndarr
     return table
 
 
-def _extract_columns(table: dict[str, np.ndarray], count: int, resolution: float,
+def _extract_columns(table, count: int, resolution: float,
                      has_color: bool) -> ColoredPointCloud:
-    """The cloud from float64 columns x, y, z and, when has_color, red, green and
-    blue bytes (0-255)."""
-    xyz = np.column_stack([table["x"], table["y"], table["z"]]) if count else np.zeros((0, 3))
-    if has_color and count:
-        rgb = np.column_stack([table[c] for c in _COLOR_NAMES]) / 255.0
-    else:
-        rgb = np.zeros((count, 3))
+    """The cloud from columns x, y, z and, when has_color, red, green and blue
+    bytes (0-255), read by name from a dict of arrays or a structured array;
+    each column is widened to float64 exactly as it is copied."""
+    xyz = np.empty((count, 3))
+    for axis, name in enumerate(("x", "y", "z")):
+        xyz[:, axis] = table[name]
+    rgb = np.zeros((count, 3))
+    if has_color:
+        for channel, name in enumerate(_COLOR_NAMES):
+            rgb[:, channel] = table[name]
+        rgb /= 255.0
     return ColoredPointCloud(xyz, rgb, resolution, has_color)
 
 
@@ -242,8 +246,9 @@ def _parse_ply(data: bytes, fmt: CloudFormat, resolution: float) -> ColoredPoint
                 f"need {count * dtype.itemsize} body bytes, have {len(body)}"
             )
         records = np.frombuffer(body, dtype=dtype, count=count)
-        table = {name: records[name].astype(np.float64) for name, _ in props}
-        return _extract_columns(table, count, resolution, has_color)
+        # widening a signalling NaN warns; the cloud's finite check decides
+        with np.errstate(invalid="ignore"):
+            return _extract_columns(records, count, resolution, has_color)
 
     columns = [(name, code == "<f4") for name, code in props]
     table = _read_ascii_records(data[body_start:].split(), count, columns)
@@ -330,6 +335,8 @@ def _parse_pcd(data: bytes, resolution: float) -> ColoredPointCloud:
         n_points = int(meta["POINTS"][0])
     except (ValueError, IndexError) as exc:
         raise MalformedHeaderError("unreadable POINTS line") from exc
+    if n_points < 0:
+        raise MalformedHeaderError(f"negative POINTS count {n_points}")
     if "WIDTH" in meta and "HEIGHT" in meta:
         try:
             if int(meta["WIDTH"][0]) * int(meta["HEIGHT"][0]) != n_points:

@@ -33,10 +33,6 @@ class InvalidTransformError(CedkitError, ValueError):
     """Rotation is not orthonormal with determinant +1 within tolerance."""
 
 
-class IndexOutOfRangeError(CedkitError, IndexError):
-    """Query index does not address a point of the source cloud."""
-
-
 class NoColorError(CedkitError):
     """Operation needs color but the cloud carries none."""
 

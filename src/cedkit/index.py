@@ -32,7 +32,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import ColoredPointCloud
-from .errors import EmptyCloudError, IndexOutOfRangeError, InvalidParamsError
+from .errors import EmptyCloudError, InvalidParamsError
 
 # Candidate radius inflation; guards against last-ulp disagreement between the
 # tree's internal metric and the strict test below.
@@ -42,11 +42,6 @@ _CANDIDATE_SLACK = 1.0 + 1e-9
 # room's 2.4M pairs: 8,192 and 16,384 pairs per block tie (about 46 ms with
 # the column fill), 4,096 is slower, one pass over all pairs takes 2.2x longer.
 _RECHECK_BLOCK = 1 << 13
-
-
-def _require_radius(radius: float) -> None:
-    if not (0 < radius < np.inf):
-        raise InvalidParamsError(f"radius must be finite and > 0, got {radius}")
 
 
 @dataclass(frozen=True)
@@ -81,26 +76,10 @@ class SpatialIndex:
     def __len__(self) -> int:
         return self._xyz.shape[0]
 
-    def radius_neighbors(self, query_index: int, radius: float) -> np.ndarray:
-        """Indices j with ||g_q - g_j||2 strictly < radius, ascending.
-
-        The query point itself is always included (its distance is 0).
-        """
-        _require_radius(radius)
-        n = len(self)
-        if not 0 <= query_index < n:
-            raise IndexOutOfRangeError(f"query index {query_index} not in [0, {n})")
-        candidates = np.asarray(
-            self._tree.query_ball_point(
-                self._xyz[query_index], radius * _CANDIDATE_SLACK, return_sorted=True
-            ),
-            dtype=np.int64,
-        )
-        return candidates[self._strictly_within(candidates, query_index, radius)]
-
     def neighbor_graph(self, radius: float) -> NeighborGraph:
-        """All strict-radius neighbor pairs at once; the bulk-query primitive."""
-        _require_radius(radius)
+        """All strict-radius neighbor pairs; the one neighborhood query."""
+        if not (0 < radius < np.inf):
+            raise InvalidParamsError(f"radius must be finite and > 0, got {radius}")
         candidates = self._tree.query_pairs(radius * _CANDIDATE_SLACK, output_type="ndarray")
         narrow = len(self) - 1 <= np.iinfo(np.int32).max
         columns = np.empty((2, len(candidates)), dtype=np.int32 if narrow else np.int64)
@@ -117,10 +96,10 @@ class SpatialIndex:
         return NeighborGraph(len(self), columns.T)
 
     def _strictly_within(self, first, second, radius: float) -> np.ndarray:
-        """Mask of ||g_first - g_second||2 < radius, elementwise over the indices.
+        """Mask of ||g_first - g_second||2 < radius, elementwise over the index arrays.
 
-        second may be a single index. The squares are added x, then y, then z
-        into one array, the linear scan's order, with no (m, 3) temporary.
+        The squares are added x, then y, then z into one array, the linear
+        scan's order, with no (m, 3) temporary.
         """
         d2 = np.zeros(len(first))
         for column in self._columns:

@@ -21,6 +21,16 @@ def linear_scan_neighbors(xyz: np.ndarray, query: int, radius: float) -> np.ndar
     return np.nonzero(d2 < radius * radius)[0]
 
 
+def graph_neighbors(graph, query: int) -> np.ndarray:
+    """A point's neighborhood read from a neighbor graph's pairs, the point included.
+
+    Ascending, and nothing is deduplicated: a pair stored twice, or a stored
+    self-pair, shows up as a repeated index next to the scan's.
+    """
+    first, second = graph.pairs.T
+    return np.sort(np.concatenate([[query], second[first == query], first[second == query]]))
+
+
 def sequential_mean(rows: np.ndarray) -> np.ndarray:
     """Arithmetic mean accumulating sequentially in row order."""
     total = [0.0, 0.0, 0.0]
@@ -103,22 +113,6 @@ def detect_brute_force(cloud: ColoredPointCloud, params: DetectorParams) -> np.n
         modalities = [geo]
         thresholds = [params.geo_threshold * params.radius]
     return nms_transcription(modalities, thresholds, neighbor_sets, valid)
-
-
-def voxel_bins_brute_force(cloud: ColoredPointCloud, leaf: float):
-    """Mean-per-voxel binning with dict bookkeeping, keys sorted ascending."""
-    bins: dict[tuple[int, int, int], list] = {}
-    for i in range(len(cloud)):
-        key = tuple(int(math.floor(c / leaf)) for c in cloud.xyz[i])
-        bins.setdefault(key, []).append(i)
-    keys = sorted(bins)
-    xyz = np.zeros((len(keys), 3))
-    rgb = np.zeros((len(keys), 3))
-    for row, key in enumerate(keys):
-        members = bins[key]
-        xyz[row] = sequential_mean(cloud.xyz[members])
-        rgb[row] = sequential_mean(cloud.rgb[members])
-    return keys, xyz, rgb
 
 
 def repeatable_count_brute_force(

@@ -31,6 +31,22 @@ def _child_env(base: Mapping[str, str]) -> dict[str, str]:
     return {**base, "PYTHONPATH": os.pathsep.join(paths)}
 
 
+def _detect_error_line(path: Path) -> str:
+    """Run ``cedkit detect`` on path in a child; it must exit 1 with one error line."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "cedkit", "detect", "-i", str(path)],
+        capture_output=True,
+        text=True,
+        env=_child_env(os.environ),
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("cedkit: error:")
+    return line
+
+
 @pytest.fixture
 def plane_ply(tmp_path):
     path = tmp_path / "plane.ply"
@@ -166,18 +182,24 @@ class TestDetect:
             b"ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
             b"property float y\nproperty float z\nend_header\n0 0 0\nnan 0 0\n0 0 1\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-m", "cedkit", "detect", "-i", str(path)],
-            capture_output=True,
-            text=True,
-            env=_child_env(os.environ),
-            timeout=120,
+        assert "NaN" in _detect_error_line(path)
+
+    @pytest.mark.parametrize(
+        "layout, header, body",
+        [
+            ("ascii", b"property\n", b"0 0 0\n"),
+            # z is a signalling NaN: exponent all ones, quiet bit clear
+            ("binary_little_endian", b"", np.array([0, 0, 0x7FA00000], dtype="<u4").tobytes()),
+        ],
+        ids=["bare-property", "signalling-nan"],
+    )
+    def test_malformed_input_exits_1_with_one_line(self, tmp_path, layout, header, body):
+        path = tmp_path / "broken.ply"
+        path.write_bytes(
+            f"ply\nformat {layout} 1.0\nelement vertex 1\n".encode() + header
+            + b"property float x\nproperty float y\nproperty float z\nend_header\n" + body
         )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        [line] = proc.stderr.splitlines()
-        assert line.startswith("cedkit: error:")
-        assert "NaN" in line
+        _detect_error_line(path)
 
     def test_byte_identical_reruns(self, plane_ply, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

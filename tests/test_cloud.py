@@ -9,10 +9,9 @@ from cedkit import (
     add_gaussian_noise,
     apply_rigid_transform,
     sample_rigid_transform,
-    voxel_downsample,
 )
 from cedkit.errors import InvalidParamsError, InvalidTransformError, NonFiniteValueError
-from oracles import random_colored_cloud, voxel_bins_brute_force
+from oracles import random_colored_cloud
 
 
 def make_cloud(xyz, rgb=None, resolution=0.01):
@@ -71,51 +70,6 @@ class TestColoredPointCloud:
         rgb[17] = [np.nan, 0.5, 0.5]
         with pytest.raises(NonFiniteValueError, match="colors of 1 point"):
             ColoredPointCloud(cloud.xyz, rgb)
-
-
-class TestVoxelDownsample:
-    def test_coincident_points_average(self):
-        cloud = ColoredPointCloud(
-            [[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 1, 1]], resolution=0.01
-        )
-        out = voxel_downsample(cloud, 0.01)
-        assert len(out) == 1
-        assert np.allclose(out.xyz[0], [0, 0, 0])
-        assert np.allclose(out.rgb[0], [0.5, 0.5, 0.5])
-        assert out.resolution == 0.01
-
-    def test_sparse_points_untouched(self):
-        xyz = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 2, 2]], dtype=float)
-        cloud = make_cloud(xyz)
-        out = voxel_downsample(cloud, 0.01)
-        assert sorted(map(tuple, out.xyz)) == sorted(map(tuple, xyz))
-
-    def test_matches_brute_force_binning(self, rng):
-        xyz = rng.uniform(-1, 1, size=(10_000, 3))
-        rgb = rng.uniform(0, 1, size=(10_000, 3))
-        cloud = ColoredPointCloud(xyz, rgb)
-        out = voxel_downsample(cloud, 0.1)
-        keys, exp_xyz, exp_rgb = voxel_bins_brute_force(cloud, 0.1)
-        assert len(out) == len(keys) <= 10_000
-        assert np.array_equal(out.xyz, exp_xyz)
-        assert np.array_equal(out.rgb, exp_rgb)
-
-    def test_output_sorted_by_voxel_key(self, rng):
-        cloud = make_cloud(rng.uniform(-1, 1, size=(500, 3)))
-        out = voxel_downsample(cloud, 0.25)
-        keys = np.floor(out.xyz / 0.25).astype(int)
-        as_tuples = list(map(tuple, keys))
-        assert as_tuples == sorted(as_tuples)
-
-    def test_leaf_must_be_positive(self, small_cloud):
-        with pytest.raises(InvalidParamsError):
-            voxel_downsample(small_cloud, 0.0)
-
-    def test_empty_cloud_allowed(self):
-        cloud = ColoredPointCloud(np.zeros((0, 3)), np.zeros((0, 3)))
-        out = voxel_downsample(cloud, 0.5)
-        assert len(out) == 0
-        assert out.resolution == 0.5
 
 
 class TestRigidTransform:

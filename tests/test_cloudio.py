@@ -80,6 +80,11 @@ class TestPlyParse:
         with pytest.raises(UnsupportedPropertyError):
             parse_cloud(data, CloudFormat.PLY_ASCII)
 
+    def test_bare_property_line_rejected(self):
+        data = PLY_ONE_RED.replace(b"property uchar red", b"property\nproperty uchar red")
+        with pytest.raises(MalformedHeaderError, match="unreadable property line"):
+            parse_cloud(data, CloudFormat.PLY_ASCII)
+
     def test_missing_coordinate_property(self):
         data = (
             b"ply\nformat ascii 1.0\nelement vertex 1\n"
@@ -294,6 +299,16 @@ class TestNonFiniteValues:
         data = write_cloud(cloud, CloudFormat.PLY_BINARY_LE)
         body = np.frombuffer(data[-len(cloud) * 15:], dtype=[("xyz", "<f4", 3), ("rgb", "u1", 3)]).copy()
         body["xyz"][1, 2] = np.inf
+        broken = data[: -len(cloud) * 15] + body.tobytes()
+        with pytest.raises(NonFiniteValueError):
+            parse_cloud(broken, CloudFormat.PLY_BINARY_LE)
+
+    @pytest.mark.filterwarnings("error")
+    def test_binary_ply_signalling_nan_rejected_without_warning(self, rng):
+        cloud = float32_valued_cloud(rng, 3)
+        data = write_cloud(cloud, CloudFormat.PLY_BINARY_LE)
+        body = np.frombuffer(data[-len(cloud) * 15:], dtype=[("xyz", "<u4", 3), ("rgb", "u1", 3)]).copy()
+        body["xyz"][1, 2] = 0x7FA00000  # exponent all ones, quiet bit clear
         broken = data[: -len(cloud) * 15] + body.tobytes()
         with pytest.raises(NonFiniteValueError):
             parse_cloud(broken, CloudFormat.PLY_BINARY_LE)

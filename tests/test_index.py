@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cedkit import ColoredPointCloud, build_index
-from cedkit.errors import EmptyCloudError, IndexOutOfRangeError, InvalidParamsError
-from oracles import exact_tie_pairs, linear_scan_neighbors
+from cedkit.errors import EmptyCloudError, InvalidParamsError
+from oracles import exact_tie_pairs, graph_neighbors, linear_scan_neighbors
 
 
 def cloud_of(xyz):
@@ -23,14 +23,14 @@ class TestBuildIndex:
     def test_single_point(self):
         index = build_index(cloud_of([[0, 0, 0]]))
         assert len(index) == 1
-        assert list(index.radius_neighbors(0, 1.0)) == [0]
+        assert list(graph_neighbors(index.neighbor_graph(1.0), 0)) == [0]
 
     def test_collinear_points(self):
         cloud = cloud_of([[0, 0, 0], [0, 0, 1], [0, 0, 2]])
-        index = build_index(cloud)
+        graph = build_index(cloud).neighbor_graph(1.5)
         for i in range(3):
             expected = linear_scan_neighbors(cloud.xyz, i, 1.5)
-            assert np.array_equal(index.radius_neighbors(i, 1.5), expected)
+            assert np.array_equal(graph_neighbors(graph, i), expected)
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(EmptyCloudError):
@@ -38,80 +38,59 @@ class TestBuildIndex:
 
     def test_large_cloud_spot_queries(self, rng):
         xyz = rng.uniform(0, 1, size=(10_000, 3))
-        cloud = cloud_of(xyz)
-        index = build_index(cloud)
+        graph = build_index(cloud_of(xyz)).neighbor_graph(0.05)
         for i in rng.choice(10_000, size=20, replace=False):
             expected = linear_scan_neighbors(xyz, int(i), 0.05)
-            assert np.array_equal(index.radius_neighbors(int(i), 0.05), expected)
+            assert np.array_equal(graph_neighbors(graph, int(i)), expected)
 
 
 class TestRadiusNeighbors:
     def test_isolated_point_returns_itself(self):
         cloud = cloud_of([[0, 0, 0], [10, 10, 10]])
-        index = build_index(cloud)
-        assert list(index.radius_neighbors(0, 0.1)) == [0]
+        graph = build_index(cloud).neighbor_graph(0.1)
+        assert list(graph_neighbors(graph, 0)) == [0]
 
     def test_boundary_is_strict(self):
-        cloud = cloud_of([[0, 0, 0], [0.05, 0, 0]])
-        index = build_index(cloud)
-        assert list(index.radius_neighbors(0, 0.05)) == [0]
-        assert list(index.radius_neighbors(1, 0.05)) == [1]
+        index = build_index(cloud_of([[0, 0, 0], [0.05, 0, 0]]))
+        graph = index.neighbor_graph(0.05)
+        assert list(graph_neighbors(graph, 0)) == [0]
+        assert list(graph_neighbors(graph, 1)) == [1]
         # barely beyond the pair distance both appear
-        assert list(index.radius_neighbors(0, 0.051)) == [0, 1]
+        assert list(graph_neighbors(index.neighbor_graph(0.051), 0)) == [0, 1]
 
     def test_matches_linear_scan(self, rng):
         xyz = rng.uniform(0, 1, size=(5_000, 3))
-        cloud = cloud_of(xyz)
-        index = build_index(cloud)
+        graph = build_index(cloud_of(xyz)).neighbor_graph(0.03)
         queries = rng.choice(5_000, size=100, replace=False)
         for q in queries:
-            got = index.radius_neighbors(int(q), 0.03)
             expected = linear_scan_neighbors(xyz, int(q), 0.03)
-            assert np.array_equal(got, expected)
+            assert np.array_equal(graph_neighbors(graph, int(q)), expected)
 
     def test_results_ascending_and_self_included(self, rng):
+        # graph_neighbors keeps repeats, so a pair stored twice or a self-pair fails here
         xyz = rng.uniform(0, 0.2, size=(300, 3))
-        index = build_index(cloud_of(xyz))
+        graph = build_index(cloud_of(xyz)).neighbor_graph(0.07)
         for q in range(0, 300, 17):
-            got = index.radius_neighbors(q, 0.07)
+            got = graph_neighbors(graph, q)
             assert q in got
             assert np.all(np.diff(got) > 0)
-
-    def test_symmetry(self, rng):
-        xyz = rng.uniform(0, 0.3, size=(200, 3))
-        index = build_index(cloud_of(xyz))
-        neighborhoods = [set(index.radius_neighbors(i, 0.1).tolist()) for i in range(200)]
-        for i in range(200):
-            for j in neighborhoods[i]:
-                assert i in neighborhoods[j]
 
     def test_radius_must_be_positive(self):
         index = build_index(cloud_of([[0, 0, 0]]))
         with pytest.raises(InvalidParamsError):
-            index.radius_neighbors(0, 0.0)
+            index.neighbor_graph(0.0)
 
     @pytest.mark.parametrize("radius", [np.nan, np.inf])
     def test_radius_must_be_finite(self, radius):
         index = build_index(cloud_of(np.arange(30.0).reshape(10, 3)))
         with pytest.raises(InvalidParamsError):
-            index.radius_neighbors(0, radius)
-        with pytest.raises(InvalidParamsError):
             index.neighbor_graph(radius)
-
-    def test_query_index_validated(self):
-        index = build_index(cloud_of([[0, 0, 0]]))
-        with pytest.raises(IndexOutOfRangeError):
-            index.radius_neighbors(1, 0.1)
-        with pytest.raises(IndexOutOfRangeError):
-            index.radius_neighbors(-1, 0.1)
 
 
 class TestNeighborGraph:
     def test_graph_agrees_with_single_queries(self, rng):
         xyz = rng.uniform(0, 0.5, size=(400, 3))
-        cloud = cloud_of(xyz)
-        index = build_index(cloud)
-        graph = index.neighbor_graph(0.08)
+        graph = build_index(cloud_of(xyz)).neighbor_graph(0.08)
         counts = np.bincount(graph.pairs.ravel(), minlength=400) + 1
         assert np.all(graph.pairs[:, 0] < graph.pairs[:, 1])
         neighbor_sets = [{i} for i in range(400)]
@@ -119,7 +98,8 @@ class TestNeighborGraph:
             neighbor_sets[i].add(j)
             neighbor_sets[j].add(i)
         for i in range(0, 400, 13):
-            single = index.radius_neighbors(i, 0.08)
+            single = linear_scan_neighbors(xyz, i, 0.08)
+            assert np.array_equal(graph_neighbors(graph, i), single)
             assert np.array_equal(sorted(neighbor_sets[i]), single)
             assert counts[i] == single.size
 
@@ -135,12 +115,10 @@ class TestNeighborGraph:
         side = np.arange(9) * 0.01
         gx, gy = np.meshgrid(side, side, indexing="ij")
         xyz = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-        cloud = cloud_of(xyz)
-        index = build_index(cloud)
+        graph = build_index(cloud_of(xyz)).neighbor_graph(0.05)
         for q in (0, 40, 44, 80):
-            got = index.radius_neighbors(q, 0.05)
             expected = linear_scan_neighbors(xyz, q, 0.05)
-            assert np.array_equal(got, expected)
+            assert np.array_equal(graph_neighbors(graph, q), expected)
 
 
 def _duplicated_sites(rng):
@@ -191,11 +169,3 @@ class TestExactTies:
             graph = build_index(cloud_of(xyz)).neighbor_graph(radius)
             assert np.array_equal(graph.pairs, scan_pairs(xyz, radius))
             assert list(np.bincount(graph.pairs.ravel(), minlength=2) + 1) == [1, 1]
-
-    def test_radius_neighbors_exclude_exact_ties(self, rng):
-        for p, q, radius in exact_tie_pairs(rng, 8):
-            xyz = np.array([p, q])
-            index = build_index(cloud_of(xyz))
-            for query in (0, 1):
-                expected = linear_scan_neighbors(xyz, query, radius)
-                assert np.array_equal(index.radius_neighbors(query, radius), expected)
