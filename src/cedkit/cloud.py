@@ -6,8 +6,9 @@ indices are stable identifiers, and every operation here (rigid motion,
 noise) preserves them. All containers are frozen after construction,
 so sharing clouds between threads is safe.
 
-Invariant: every coordinate and color of a cloud is finite. It is checked
-once, when the cloud is built (NonFiniteValueError otherwise), so parsers,
+Invariant: every coordinate and color of a cloud is finite, and every color
+channel lies in [0, 1]. It is checked once, when the cloud is built
+(NonFiniteValueError or InvalidParamsError otherwise), so parsers, writers,
 the index and the detector can rely on it without checking again.
 """
 
@@ -64,7 +65,13 @@ class ColoredPointCloud:
         if self.xyz.shape[0] != self.rgb.shape[0]:
             raise InvalidParamsError("xyz and rgb must have the same number of rows")
         require_finite(self.xyz, "coordinates")
-        require_finite(self.rgb, "colors")
+        # min and max are NaN when any channel is, so colors within [0, 1]
+        # are finite too; the finite check runs only to name a failure
+        if self.rgb.size and not (self.rgb.min() >= 0 and self.rgb.max() <= 1):
+            require_finite(self.rgb, "colors")
+            raise InvalidParamsError(
+                f"colors must lie in [0, 1], got [{self.rgb.min():g}, {self.rgb.max():g}]"
+            )
         if not (0 < self.resolution < np.inf):
             raise InvalidParamsError(f"resolution must be finite and > 0, got {self.resolution}")
 

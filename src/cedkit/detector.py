@@ -34,7 +34,7 @@ import numpy as np
 from scipy.sparse import coo_array
 
 from .cloud import ColoredPointCloud
-from .cloudio import CloudFormat, write_cloud
+from .cloudio import CloudFormat, format_rows, write_cloud
 from .errors import InvalidParamsError, MisalignedFieldsError, NoColorError
 from .index import NeighborGraph, build_index
 
@@ -346,16 +346,17 @@ def export_keypoints_csv(
 
     Saliency columns are written as 0 when the corresponding field is absent.
     """
-    rows = ["index,x,y,z,r,g,b,d_g,d_c"]
-    for i in keypoints.indices:
-        x, y, z = cloud.xyz[i]
-        r, g, b = cloud.rgb[i]
-        dg = geometric.values[i] if geometric is not None else 0.0
-        dc = photometric.values[i] if photometric is not None else 0.0
-        rows.append(
-            f"{i},{x:.9g},{y:.9g},{z:.9g},{r:.9g},{g:.9g},{b:.9g},{dg:.9g},{dc:.9g}"
-        )
-    return "\n".join(rows) + "\n"
+    idx = keypoints.indices
+    absent = np.zeros(len(idx))
+    columns = [
+        idx,
+        *cloud.xyz[idx].T,
+        *cloud.rgb[idx].T,
+        geometric.values[idx] if geometric is not None else absent,
+        photometric.values[idx] if photometric is not None else absent,
+    ]
+    line = "%d," + ",".join(["%.9g"] * 8) + "\n"
+    return "index,x,y,z,r,g,b,d_g,d_c\n" + format_rows(columns, line)
 
 
 def export_keypoints_ply(

@@ -201,6 +201,15 @@ class TestDetect:
         )
         _detect_error_line(path)
 
+    def test_color_outside_byte_exits_1_with_one_line(self, tmp_path):
+        path = tmp_path / "colors.ply"
+        path.write_bytes(
+            b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+            b"property float y\nproperty float z\nproperty uchar red\n"
+            b"property uchar green\nproperty uchar blue\nend_header\n0 0 0 300 -7 0.5\n"
+        )
+        assert "0..255" in _detect_error_line(path)
+
     def test_byte_identical_reruns(self, plane_ply, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["detect", "-i", str(plane_ply), "--mode", "ced3d"]

@@ -71,6 +71,17 @@ class TestColoredPointCloud:
         with pytest.raises(NonFiniteValueError, match="colors of 1 point"):
             ColoredPointCloud(cloud.xyz, rgb)
 
+    @pytest.mark.parametrize("value", [-5.0, 7.0, -1e-300, np.nextafter(1.0, 2.0)])
+    def test_color_outside_unit_range_rejected(self, value):
+        rgb = np.full((3, 3), 0.5)
+        rgb[1, 2] = value
+        with pytest.raises(InvalidParamsError, match=r"colors must lie in \[0, 1\]"):
+            make_cloud(np.zeros((3, 3)), rgb)
+
+    def test_unit_range_bounds_accepted(self):
+        cloud = make_cloud(np.zeros((2, 3)), [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        assert cloud.rgb.min() == 0.0 and cloud.rgb.max() == 1.0
+
 
 class TestRigidTransform:
     def test_identity_leaves_cloud_alone(self, small_cloud):

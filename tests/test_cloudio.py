@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cedkit import CloudFormat, ColoredPointCloud, parse_cloud, sniff_format, write_cloud
+from cedkit import CloudFormat, ColoredPointCloud, cloudio, parse_cloud, sniff_format, write_cloud
 from cedkit.errors import (
     EmptyCloudError,
     CedkitError,
@@ -14,6 +18,8 @@ from cedkit.errors import (
     UnsupportedPropertyError,
 )
 from oracles import float32_valued_cloud
+
+DATA_DIR = Path(__file__).parent / "data"
 
 PLY_ONE_RED = b"""ply
 format ascii 1.0
@@ -72,6 +78,28 @@ class TestPlyParse:
         data = PLY_ONE_RED.replace(b"property uchar red", b"property int16 red")
         with pytest.raises(UnsupportedPropertyError):
             parse_cloud(data, CloudFormat.PLY_ASCII)
+
+    @pytest.mark.parametrize("declared", [b"property float red", b"property double red"])
+    @pytest.mark.parametrize("layout", [CloudFormat.PLY_ASCII, CloudFormat.PLY_BINARY_LE])
+    def test_non_uchar_color_property_rejected(self, declared, layout):
+        data = PLY_ONE_RED.replace(b"property uchar red", declared)
+        if layout is CloudFormat.PLY_BINARY_LE:
+            data = data.replace(b"format ascii", b"format binary_little_endian")
+        with pytest.raises(UnsupportedPropertyError, match="must be uchar"):
+            parse_cloud(data, layout)
+
+    @pytest.mark.parametrize("token", [b"300", b"-7", b"0.5", b"256", b"1e9"])
+    def test_ascii_uchar_token_outside_byte_rejected(self, token):
+        data = PLY_ONE_RED.replace(b"0 0 0 255 0 0", b"0 0 0 255 " + token + b" 0")
+        with pytest.raises(CloudFormatError, match="not an integer in 0..255") as excinfo:
+            parse_cloud(data, CloudFormat.PLY_ASCII)
+        assert not isinstance(excinfo.value, NonFiniteValueError)
+
+    @pytest.mark.parametrize("token", [b"0", b"255", b"255.0", b"2.55e2", b"-0"])
+    def test_ascii_uchar_integer_tokens_accepted(self, token):
+        data = PLY_ONE_RED.replace(b"0 0 0 255 0 0", b"0 0 0 0 " + token + b" 0")
+        cloud = parse_cloud(data, CloudFormat.PLY_ASCII)
+        assert cloud.rgb[0, 1] == float(token) / 255.0
 
     def test_list_property_rejected(self):
         data = PLY_ONE_RED.replace(
@@ -184,19 +212,53 @@ def per_value_body(cloud, fmt):
     return "\n".join(rows) + "\n"
 
 
+def finite_float32_patterns(rng, n):
+    """n random finite float32 values, drawn as bit patterns (subnormals included)."""
+    bits = rng.integers(0, 2**32, size=3 * n, dtype=np.uint64).astype(np.uint32)
+    values = bits.view(np.float32)
+    return values[np.isfinite(values)][:n].astype(np.float64)
+
+
+def float32_edge_values():
+    tiny, small, big = 1e-45, float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
+    powers = [float(2**k) for k in range(25)] + [2.0**24 - 1, 2.0**24 + 1, 12345678.0]
+    values = [0.0, -0.0, tiny, -tiny, small, -small, big, -big] + powers
+    return np.array(values + [-v for v in powers])
+
+
 class TestAsciiRecords:
     @pytest.mark.parametrize("fmt", [CloudFormat.PLY_ASCII, CloudFormat.PCD_ASCII])
     @pytest.mark.parametrize("has_color", [True, False])
     def test_body_equals_per_value_formatting(self, rng, fmt, has_color):
         end_of_header = "end_header\n" if fmt is CloudFormat.PLY_ASCII else "DATA ascii\n"
+        clouds = []
         for _ in range(20):
             n = int(rng.integers(1, 150))
             xyz = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-30, 31)
             xyz[0, 0] = -0.0
-            rgb = rng.uniform(-0.2, 1.2, size=(n, 3))
-            cloud = ColoredPointCloud(xyz, rgb, has_color=has_color)
+            clouds.append(ColoredPointCloud(xyz, rng.uniform(0, 1, size=(n, 3)),
+                                            has_color=has_color))
+        # longer than one formatting block, every value a random float32
+        n = cloudio._BLOCK_ROWS + 7
+        xyz = finite_float32_patterns(rng, 3 * n).reshape(n, 3)
+        clouds.append(ColoredPointCloud(xyz, rng.uniform(0, 1, size=(n, 3)),
+                                        has_color=has_color))
+        # float32 edge values in every coordinate; colors on and between byte steps
+        edges = float32_edge_values()
+        xyz = np.column_stack([edges, edges[::-1], np.roll(edges, 5)])
+        rgb = (np.arange(3 * len(edges)).reshape(-1, 3) % 511 / 2) / 255.0
+        clouds.append(ColoredPointCloud(xyz, rgb, has_color=has_color))
+        for cloud in clouds:
             text = write_cloud(cloud, fmt).decode("ascii")
             assert text.split(end_of_header, 1)[1] == per_value_body(cloud, fmt)
+
+
+class TestWrittenBytes:
+    def test_probe_room_files_match_pinned_digests(self, probe_room):
+        pinned = json.loads((DATA_DIR / "probe_room_sha256.json").read_text())["sha256"]
+        digests = {fmt.value: hashlib.sha256(write_cloud(probe_room, fmt)).hexdigest()
+                   for fmt in CloudFormat}
+        assert digests == pinned
 
 
 class TestPcdParse:
@@ -236,6 +298,34 @@ class TestPcdParse:
             b"WIDTH 1\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS 1\nDATA binary\nxxxx"
         )
         with pytest.raises(MalformedHeaderError):
+            parse_cloud(data, CloudFormat.PCD_ASCII)
+
+    def test_duplicate_field_rejected(self):
+        data = (
+            b"VERSION 0.7\nFIELDS x y z x\nSIZE 4 4 4 4\nTYPE F F F F\n"
+            b"COUNT 1 1 1 1\nWIDTH 1\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\n"
+            b"POINTS 1\nDATA ascii\n1 2 3 9\n"
+        )
+        with pytest.raises(MalformedHeaderError, match="duplicate"):
+            parse_cloud(data, CloudFormat.PCD_ASCII)
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_crlf_and_cr_line_breaks(self, newline):
+        data = (
+            b"VERSION 0.7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\nCOUNT 1 1 1\n"
+            b"WIDTH 2\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS 2\nDATA ascii\n"
+            b"1 2 3\n4 5 6\n"
+        ).replace(b"\n", newline)
+        cloud = parse_cloud(data, CloudFormat.PCD_ASCII)
+        assert np.array_equal(cloud.xyz, [[1, 2, 3], [4, 5, 6]])
+
+    def test_non_ascii_body_rejected_typed(self):
+        data = (
+            b"VERSION 0.7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\nCOUNT 1 1 1\n"
+            b"WIDTH 1\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS 1\nDATA ascii\n"
+            b"1 2 \xff\n"
+        )
+        with pytest.raises(CloudFormatError):
             parse_cloud(data, CloudFormat.PCD_ASCII)
 
     def test_unsigned_rgb_rejected(self):

@@ -45,7 +45,7 @@ from oracles import (
     random_colored_cloud,
     saliency_brute_force,
 )
-from cedkit.detector import saliency_from_graph
+from cedkit.detector import KeypointSet, saliency_from_graph
 
 # Apex saliency of the 0.2 m box corner at pitch 0.01 m, radius 0.05 m,
 # frozen from the brute-force centroid oracle.
@@ -547,7 +547,31 @@ class TestDetect:
         assert keys.indices.size >= 0
 
 
+def reference_keypoints_csv(cloud, keypoints, geometric=None, photometric=None):
+    """A stored copy of the keypoint CSV as formatted one row at a time."""
+    rows = ["index,x,y,z,r,g,b,d_g,d_c"]
+    for i in keypoints.indices:
+        x, y, z = cloud.xyz[i]
+        r, g, b = cloud.rgb[i]
+        dg = geometric.values[i] if geometric is not None else 0.0
+        dc = photometric.values[i] if photometric is not None else 0.0
+        rows.append(
+            f"{i},{x:.9g},{y:.9g},{z:.9g},{r:.9g},{g:.9g},{b:.9g},{dg:.9g},{dc:.9g}"
+        )
+    return "\n".join(rows) + "\n"
+
+
 class TestExports:
+    @pytest.mark.parametrize("with_fields", [True, False])
+    def test_csv_equals_per_row_reference(self, rng, with_fields):
+        cloud = random_colored_cloud(rng, 400)
+        result = detect_with_fields(cloud, DetectorParams(radius=0.25))
+        fields = (result.geometric, result.photometric) if with_fields else (None, None)
+        for keypoints in (result.keypoints, KeypointSet(np.arange(400), result.keypoints.params),
+                          KeypointSet(np.zeros(0, dtype=np.int64), result.keypoints.params)):
+            assert (export_keypoints_csv(cloud, keypoints, *fields)
+                    == reference_keypoints_csv(cloud, keypoints, *fields))
+
     def test_csv_layout(self, rng):
         cloud = random_colored_cloud(rng, 200)
         result = detect_with_fields(cloud, DetectorParams(radius=0.25))

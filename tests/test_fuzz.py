@@ -10,23 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cedkit import CloudFormat, ColoredPointCloud, SceneKind, SceneSpec, generate_scene
-from cedkit import parse_cloud, write_cloud
+from cedkit import CloudFormat, ColoredPointCloud, parse_cloud, write_cloud
 from cedkit.errors import CloudFormatError, MalformedHeaderError, TruncatedBodyError
 
 pytestmark = pytest.mark.filterwarnings("error")
 
-# 1,442 points: small enough for a few thousand parses in a few seconds
-PROBE_ROOM = SceneSpec(kind=SceneKind.ROOM_COMPOSITE, extent=0.2, pitch=0.01, tile=0.4,
-                       jitter=0.35, seed=3)
-# Every header of the probe room ends within its first 300 bytes.
+# Every header of the probe room (the conftest fixture) ends within its first 300 bytes.
 HEAD_BYTES = 300
 CASES = 300
-
-
-@pytest.fixture(scope="module")
-def probe_room():
-    return generate_scene(PROBE_ROOM)
 
 
 @pytest.fixture(scope="module")
