@@ -225,6 +225,10 @@ def _vertex_layout(elements):
             for axis in ("x", "y", "z"):
                 if axis not in names:
                     raise MalformedHeaderError(f"vertex element lacks property {axis!r}")
+                if dict(props)[axis] == "u1":
+                    raise UnsupportedPropertyError(
+                        f"coordinate property {axis!r} must be float or double"
+                    )
             return count, props
     raise MalformedHeaderError("no vertex element declared")
 

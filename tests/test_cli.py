@@ -210,6 +210,14 @@ class TestDetect:
         )
         assert "0..255" in _detect_error_line(path)
 
+    def test_byte_coordinate_exits_1_with_one_line(self, tmp_path):
+        path = tmp_path / "coords.ply"
+        path.write_bytes(
+            b"ply\nformat ascii 1.0\nelement vertex 1\nproperty uchar x\n"
+            b"property float y\nproperty float z\nend_header\n7 0.5 0.25\n"
+        )
+        assert "float or double" in _detect_error_line(path)
+
     def test_byte_identical_reruns(self, plane_ply, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["detect", "-i", str(plane_ply), "--mode", "ced3d"]

@@ -88,6 +88,15 @@ class TestPlyParse:
         with pytest.raises(UnsupportedPropertyError, match="must be uchar"):
             parse_cloud(data, layout)
 
+    @pytest.mark.parametrize("axis", [b"x", b"y", b"z"])
+    @pytest.mark.parametrize("layout", [CloudFormat.PLY_ASCII, CloudFormat.PLY_BINARY_LE])
+    def test_non_float_coordinate_property_rejected(self, axis, layout):
+        data = PLY_ONE_RED.replace(b"property float " + axis, b"property uchar " + axis)
+        if layout is CloudFormat.PLY_BINARY_LE:
+            data = data.replace(b"format ascii", b"format binary_little_endian")
+        with pytest.raises(UnsupportedPropertyError, match="must be float or double"):
+            parse_cloud(data, layout)
+
     @pytest.mark.parametrize("token", [b"300", b"-7", b"0.5", b"256", b"1e9"])
     def test_ascii_uchar_token_outside_byte_rejected(self, token):
         data = PLY_ONE_RED.replace(b"0 0 0 255 0 0", b"0 0 0 255 " + token + b" 0")

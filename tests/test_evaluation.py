@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from statistics import mean
 
 import numpy as np
 import pytest
 
+import cedkit.detector
 import cedkit.evaluation
 
 from cedkit import (
@@ -15,6 +17,7 @@ from cedkit import (
     SceneKind,
     SceneSpec,
     ablation_sweep,
+    add_gaussian_noise,
     apply_rigid_transform,
     ced_detector,
     detect,
@@ -167,6 +170,102 @@ class TestEvaluateRepeatability:
         )
         # first call is the source; the two noisy copies must differ
         assert not np.array_equal(seen[1], seen[2])
+
+
+def whole_copy_ratios(cloud, params, config, transforms):
+    """Per-trial ratios from detecting every whole moved copy: the definition."""
+    epsilon, sigma = config.resolve(cloud.resolution)
+    source = cloud.xyz[detect(cloud, params).indices]
+    ratios = []
+    for trial, transform in enumerate(transforms):
+        moved = apply_rigid_transform(cloud, transform)
+        moved = add_gaussian_noise(moved, sigma, config.noise_seed + trial)
+        target = moved.xyz[detect(moved, params).indices]
+        ratios.append(count_matches(transform.apply(source), target, epsilon) / len(source))
+    return ratios
+
+
+@pytest.fixture
+def detected_sizes(monkeypatch):
+    """Point counts of the clouds the CED detector runs on, in call order."""
+    sizes = []
+    inner = cedkit.evaluation.detect
+
+    def counting_detect(cloud, params):
+        sizes.append(len(cloud))
+        return inner(cloud, params)
+
+    monkeypatch.setattr(cedkit.evaluation, "detect", counting_detect)
+    return sizes
+
+
+class TestCopyWindow:
+    """Copies are detected only within epsilon + 2r of the moved source keypoints."""
+
+    # (extent, epsilon, whether the window holds the whole copy)
+    @pytest.mark.parametrize("extent, epsilon, whole", [(0.3, 0.02, False), (0.8, 0.02, False),
+                                                        (0.3, 0.5, True)])
+    @pytest.mark.parametrize("thresholds", [(0.4, 0.6), (0.2, 0.1)])
+    def test_per_trial_equals_whole_copy_detection(self, extent, epsilon, whole, thresholds,
+                                                   detected_sizes):
+        cloud = room(extent=extent)
+        params = DetectorParams(radius=0.052, geo_threshold=thresholds[0],
+                                color_threshold=thresholds[1])
+        config = RepeatabilityConfig(epsilon=epsilon, sigma=0.005, trials=3, noise_seed=7)
+        rng = np.random.default_rng(11)
+        transforms = [sample_rigid_transform(rng) for _ in range(config.trials)]
+        report = evaluate_repeatability(cloud, ced_detector(params), config, transforms)
+        assert report.total_keypoints > 0
+        assert list(report.per_trial) == whole_copy_ratios(cloud, params, config, transforms)
+        assert detected_sizes[0] == len(cloud)
+        copies = detected_sizes[1:]
+        assert len(copies) == config.trials
+        assert all(size == len(cloud) if whole else size < len(cloud) for size in copies)
+
+    def test_sweep_rows_equal_whole_copy_detection(self):
+        cloud = room(extent=0.8)
+        base = DetectorParams(radius=0.052)
+        config = RepeatabilityConfig(epsilon=0.02, sigma=0.005, trials=3, transform_seed=6)
+        tg, tc = [0.2, 0.4], [0.1, 0.6]
+        rows = ablation_sweep(cloud, tg, tc, base, config)
+        transforms = cedkit.evaluation._sample_transforms(config)
+        for row in rows:
+            params = replace(base, geo_threshold=row.geo_threshold,
+                             color_threshold=row.color_threshold)
+            assert row.repeatability == mean(whole_copy_ratios(cloud, params, config, transforms))
+
+    def test_random_baseline_sees_every_point(self):
+        cloud = room(extent=0.3)
+        sizes = []
+        inner = random_detector(count=20, seed=4)
+
+        def counting(c):
+            sizes.append(len(c))
+            return inner(c)
+
+        evaluate_repeatability(cloud, counting, RepeatabilityConfig(sigma=0.005, trials=3))
+        assert sizes == [len(cloud)] * 4
+
+    def test_empty_window_gives_zero_and_builds_no_index(self, monkeypatch):
+        # noise far above epsilon + 2r scatters every copy point out of reach
+        cloud = room(extent=0.3)
+        params = DetectorParams(radius=0.052)
+        built = []
+        build_index = cedkit.detector.build_index
+
+        def counting_build(c):
+            built.append(len(c))
+            return build_index(c)
+
+        monkeypatch.setattr(cedkit.detector, "build_index", counting_build)
+        config = RepeatabilityConfig(epsilon=0.02, sigma=100.0, trials=3)
+        report = evaluate_repeatability(cloud, ced_detector(params), config)
+        assert report.total_keypoints > 0
+        assert report.per_trial == (0.0, 0.0, 0.0)
+        rows = ablation_sweep(cloud, [0.1, 0.2], [0.1], params, config)
+        assert [row.repeatability for row in rows] == [0.0, 0.0]
+        assert all(row.keypoint_count for row in rows)
+        assert built == [len(cloud), len(cloud)]
 
 
 class TestMeasureRuntime:
