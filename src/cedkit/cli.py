@@ -5,9 +5,9 @@ Subcommands: ``detect``, ``repeat``, ``ablate``, ``bench``, ``synth``. Data
 goes to the output file (or stdout when ``-o`` is omitted where that makes
 sense); diagnostics go to stderr. Exit codes: 0 success, 2 usage or parameter
 error, 1 runtime failure. Seeds default to fixed constants so runs are
-reproducible; pass ``--seed random`` to opt into entropy. Set the CED_LOG
-environment variable (DEBUG, INFO, ...) to control log verbosity; an unknown
-level name is a usage error (exit 2).
+reproducible; a seed is a non-negative integer, or ``random`` to opt into
+entropy. Set the CED_LOG environment variable (DEBUG, INFO, ...) to control
+log verbosity; an unknown level name is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _add_detector_flags(parser, scalar_thresholds=True):
     parser.add_argument("--count", type=int, default=100,
                         help="keypoint count for --mode random (default %(default)s)")
     parser.add_argument("--seed", type=_parse_seed, default=str(DEFAULT_SEED),
-                        help="integer seed or 'random' (default %(default)s)")
+                        help="non-negative integer seed or 'random' (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,6 +184,8 @@ def _repeat_config(args) -> RepeatabilityConfig:
 
 def _effective_seed(seed: int | None) -> int:
     if seed is not None:
+        if seed < 0:
+            raise InvalidParamsError(f"seed must be a non-negative integer or 'random', got {seed}")
         return seed
     return int(np.random.SeedSequence().entropy % (2**32))
 

@@ -92,10 +92,8 @@ class DetectorParams:
 
     @classmethod
     def for_cloud(cls, cloud: ColoredPointCloud, **overrides) -> "DetectorParams":
-        """Defaults tied to the cloud: radius = 5 x resolution, CED mode."""
+        """Defaults tied to the cloud: radius = 5 x resolution."""
         overrides.setdefault("radius", DEFAULT_RADIUS_FACTOR * cloud.resolution)
-        if "mode" not in overrides and not cloud.has_color:
-            overrides["mode"] = DetectorMode.CED_3D
         return cls(**overrides)
 
 

@@ -11,6 +11,10 @@ Four kinds are available:
   a checkered floor, four walls, and a ceiling with distinct colors. Every
   shared edge is sampled exactly once.
 
+Each kind is written once, as a table of axis-aligned lattice faces; the
+point count and the points are both read from it, so SceneSpec knows the
+size of a scene before anything is allocated.
+
 A non-zero ``jitter`` displaces every point by a seeded uniform offset of at
 most jitter x pitch per axis. Sub-pitch jitter leaves the declared resolution
 meaningful while breaking the exact symmetries of the lattice, which makes
@@ -20,6 +24,7 @@ evaluation on regular lattices would otherwise ride on floating-point ties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,8 +52,8 @@ class SceneSpec:
     """Parameters of a generated scene; the cloud resolution equals pitch.
 
     Requires 0 < pitch <= extent < inf, 0 < tile < inf, finite extent / pitch
-    and tile / pitch, 0 <= jitter < 0.5, colors of three channels in [0, 1]
-    and at most MAX_SCENE_POINTS points; InvalidParamsError otherwise.
+    and tile / pitch, 0 <= jitter < 0.5, seed >= 0, colors of three channels
+    in [0, 1] and at most MAX_SCENE_POINTS points; InvalidParamsError otherwise.
     """
 
     kind: SceneKind
@@ -75,6 +80,8 @@ class SceneSpec:
                 raise InvalidParamsError(
                     f"{name} / pitch must be finite, got {getattr(self, name)} / {self.pitch}"
                 )
+        if self.seed < 0:
+            raise InvalidParamsError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 <= self.jitter < 0.5:
             raise InvalidParamsError(f"jitter must be in [0, 0.5), got {self.jitter}")
         for name in ("base_color", "alt_color", "wall_color"):
@@ -91,115 +98,59 @@ class SceneSpec:
     @property
     def n_points(self) -> int:
         """Number of points generate_scene returns, counted without allocating."""
-        n = _cells(self)
-        side = n + 1
-        if self.kind in (SceneKind.PLANE, SceneKind.CHECKER_FLOOR):
-            return side * side
-        if self.kind is SceneKind.BOX_CORNER:
-            return side * side + side * n + n * n
-        # room: floor and ceiling, then four walls without their shared edges
-        inner_height = min(_room_layers(self), n) - 1
-        return 2 * side * side + 2 * side * inner_height + 2 * (n - 1) * inner_height
+        # stop - start rather than len(), which overflows past sys.maxsize
+        return sum(math.prod(r.stop - r.start for r in axes) for axes, _ in _faces(self))
 
 
-def _cells(spec: SceneSpec) -> int:
-    """Pitches along each horizontal side of the scene."""
-    return int(round(spec.extent / spec.pitch))
+def _at(i: int) -> range:
+    return range(i, i + 1)
 
 
-def _room_layers(spec: SceneSpec) -> int:
-    """Pitches from a room's floor to its ceiling."""
-    return max(2, int(round(0.4 * spec.extent / spec.pitch)))
+def _faces(spec: SceneSpec) -> list[tuple[tuple[range, range, range], Color | None]]:
+    """The scene as lattice faces in generation order.
 
-
-def _grid(i_range, j_range):
-    ii, jj = np.meshgrid(i_range, j_range, indexing="ij")
-    return ii.ravel(), jj.ravel()
-
-
-def _checker_colors(ix, iy, tiles_per, base, alt):
-    parity = (ix // tiles_per + iy // tiles_per) % 2
-    colors = np.where(parity[:, None] == 0, base, alt)
-    return colors
+    Each face is an x, y and z range of lattice indices, one of them a single
+    plane, and its paint: a color, or None for the checker pattern. Every
+    shared edge belongs to exactly one face.
+    """
+    n = int(round(spec.extent / spec.pitch))
+    side, inner = range(n + 1), range(1, n)
+    floor = (side, side, _at(0))
+    if spec.kind is SceneKind.PLANE:
+        return [(floor, spec.base_color)]
+    if spec.kind is SceneKind.CHECKER_FLOOR:
+        return [(floor, None)]
+    if spec.kind is SceneKind.BOX_CORNER:
+        # the z = 0 face keeps both axis lines, the y = 0 face the x axis line
+        rise, base = range(1, n + 1), spec.base_color
+        return [(floor, base), ((side, _at(0), rise), base), ((_at(0), rise, rise), base)]
+    # room: checkered floor, ceiling, then walls open at top and bottom; the
+    # front and back walls keep the vertical edges
+    n_z = max(2, int(round(0.4 * spec.extent / spec.pitch)))
+    height, wall = range(1, min(n_z, n)), spec.wall_color
+    return [(floor, None), ((side, side, _at(n_z)), wall),
+            ((side, _at(0), height), wall), ((side, _at(n), height), wall),
+            ((_at(0), inner, height), wall), ((_at(n), inner, height), wall)]
 
 
 def generate_scene(spec: SceneSpec) -> ColoredPointCloud:
     """Deterministic cloud for the spec; identical spec, identical cloud."""
-    p = spec.pitch
-    n = _cells(spec)
-    side = np.arange(n + 1)
     base = np.asarray(spec.base_color, dtype=np.float64)
     alt = np.asarray(spec.alt_color, dtype=np.float64)
-    wall = np.asarray(spec.wall_color, dtype=np.float64)
-    tiles_per = max(1, int(round(spec.tile / p)))
-
-    if spec.kind is SceneKind.PLANE:
-        ix, iy = _grid(side, side)
-        xyz = np.column_stack([ix * p, iy * p, np.zeros(ix.size)])
-        rgb = np.tile(base, (ix.size, 1))
-
-    elif spec.kind is SceneKind.CHECKER_FLOOR:
-        ix, iy = _grid(side, side)
-        xyz = np.column_stack([ix * p, iy * p, np.zeros(ix.size)])
-        rgb = _checker_colors(ix, iy, tiles_per, base, alt)
-
-    elif spec.kind is SceneKind.BOX_CORNER:
-        faces = []
-        ix, iy = _grid(side, side)  # z = 0 face keeps both axis lines
-        faces.append(np.column_stack([ix * p, iy * p, np.zeros(ix.size)]))
-        ix, iz = _grid(side, side[1:])  # y = 0 face without the z = 0 line
-        faces.append(np.column_stack([ix * p, np.zeros(ix.size), iz * p]))
-        iy, iz = _grid(side[1:], side[1:])  # x = 0 face without both lines
-        faces.append(np.column_stack([np.zeros(iy.size), iy * p, iz * p]))
-        xyz = np.vstack(faces)
-        rgb = np.tile(base, (xyz.shape[0], 1))
-
-    elif spec.kind is SceneKind.ROOM_COMPOSITE:
-        n_z = _room_layers(spec)
-        height = side[: n_z + 1]
-        inner = side[1:-1]
-        inner_height = height[1:-1]
-        parts = []
-
-        ix, iy = _grid(side, side)  # floor with checker tiles
-        parts.append(
-            (
-                np.column_stack([ix * p, iy * p, np.zeros(ix.size)]),
-                _checker_colors(ix, iy, tiles_per, base, alt),
-            )
-        )
-        ix, iy = _grid(side, side)  # ceiling
-        parts.append(
-            (
-                np.column_stack([ix * p, iy * p, np.full(ix.size, n_z * p)]),
-                np.tile(wall, (ix.size, 1)),
-            )
-        )
-        for y_row in (0, n):  # front and back walls, open top and bottom
-            ix, iz = _grid(side, inner_height)
-            parts.append(
-                (
-                    np.column_stack([ix * p, np.full(ix.size, y_row * p), iz * p]),
-                    np.tile(wall, (ix.size, 1)),
-                )
-            )
-        for x_col in (0, n):  # side walls, open on all four edges
-            iy, iz = _grid(inner, inner_height)
-            parts.append(
-                (
-                    np.column_stack([np.full(iy.size, x_col * p), iy * p, iz * p]),
-                    np.tile(wall, (iy.size, 1)),
-                )
-            )
-        xyz = np.vstack([part[0] for part in parts])
-        rgb = np.vstack([part[1] for part in parts])
-
-    else:  # pragma: no cover - enum is exhaustive
-        raise InvalidParamsError(f"unhandled scene kind {spec.kind!r}")
-
+    tiles_per = max(1, int(round(spec.tile / spec.pitch)))
+    lattices, colors = [], []
+    for axes, paint in _faces(spec):
+        grids = np.meshgrid(*(np.arange(r.start, r.stop) for r in axes), indexing="ij", copy=False)
+        ijk = np.stack(grids, axis=-1).reshape(-1, 3)  # x slowest, z fastest
+        if paint is None:
+            parity = (ijk[:, :1] // tiles_per + ijk[:, 1:2] // tiles_per) % 2
+            colors.append(np.where(parity == 0, base, alt))
+        else:
+            colors.append(np.broadcast_to(np.asarray(paint, dtype=np.float64), ijk.shape))
+        lattices.append(ijk)
+    xyz = np.vstack(lattices) * spec.pitch
     if spec.jitter > 0:
         rng = np.random.default_rng(spec.seed)
-        amplitude = spec.jitter * p
+        amplitude = spec.jitter * spec.pitch
         xyz = xyz + rng.uniform(-amplitude, amplitude, size=xyz.shape)
-
-    return ColoredPointCloud(xyz, rgb, resolution=p, has_color=True)
+    return ColoredPointCloud(xyz, np.vstack(colors), resolution=spec.pitch, has_color=True)

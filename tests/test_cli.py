@@ -278,6 +278,30 @@ class TestNonFiniteParameters:
         assert not out.exists()
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--kind", "room", "--jitter", "0.3", "--seed", "-1"],
+            ["synth", "--kind", "plane", "--seed", "-1"],
+            ["repeat", "--seed", "-1"],
+            ["ablate", "--seed", "-3"],
+            ["detect", "--mode", "random", "--seed", "-5"],
+            ["bench", "--mode", "random", "--seed", "-2"],
+        ],
+        ids=lambda argv: "-".join(argv).replace("--", ""),
+    )
+    def test_exit_2_with_one_line(self, tiny_ply, tmp_path, capsys, argv):
+        out = tmp_path / "out.ply"
+        source = [] if argv[0] == "synth" else ["-i", str(tiny_ply)]
+        code = main([argv[0], *source, "-o", str(out), *argv[1:]])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("cedkit: parameter error:")
+        assert "non-negative" in line
+        assert not out.exists()
+
+
 class TestRepeat:
     def test_report_csv(self, tmp_path):
         scene = tmp_path / "floor.ply"

@@ -84,6 +84,13 @@ class TestDetectorParams:
         assert params.radius == 5.0 * small_cloud.resolution
         assert params.mode is DetectorMode.CED
         assert params.min_neighbors == 5
+        # a colorless cloud keeps CED, which prepare then refuses
+        colorless = ColoredPointCloud(small_cloud.xyz, np.zeros_like(small_cloud.rgb),
+                                      resolution=small_cloud.resolution, has_color=False)
+        params = DetectorParams.for_cloud(colorless)
+        assert params.mode is DetectorMode.CED
+        with pytest.raises(NoColorError):
+            prepare(colorless, params)
 
 
 class TestCentroids:

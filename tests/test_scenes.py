@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cedkit import SceneKind, SceneSpec, generate_scene
 from cedkit.errors import InvalidParamsError
 from cedkit.scenes import MAX_SCENE_POINTS
+
+PINNED_SCENES = json.loads((Path(__file__).parent / "data" / "scene_sha256.json").read_text())["scenes"]
 
 
 class TestSceneSpec:
@@ -16,6 +22,8 @@ class TestSceneSpec:
             SceneSpec(kind=SceneKind.PLANE, extent=0.001, pitch=0.01)
         with pytest.raises(InvalidParamsError):
             SceneSpec(kind=SceneKind.PLANE, jitter=0.5)
+        with pytest.raises(InvalidParamsError, match="seed"):
+            SceneSpec(kind=SceneKind.PLANE, jitter=0.3, seed=-1)
         with pytest.raises(InvalidParamsError):
             SceneSpec(kind=SceneKind.PLANE, base_color=(2.0, 0.0, 0.0))
         with pytest.raises(InvalidParamsError):
@@ -41,14 +49,28 @@ class TestSceneSpec:
 
     @pytest.mark.parametrize("kind", list(SceneKind))
     def test_too_many_points_rejected(self, kind):
-        with pytest.raises(InvalidParamsError, match="points, more than"):
-            SceneSpec(kind=kind, pitch=1e-10)
+        # the second spec's side counts are past sys.maxsize, so len(range) would overflow
+        for extent, pitch in [(1.0, 1e-10), (1e20, 1.0)]:
+            with pytest.raises(InvalidParamsError, match="points, more than"):
+                SceneSpec(kind=kind, extent=extent, pitch=pitch)
 
     def test_point_limit_is_inclusive(self):
         # a 4096 x 4096 plane is exactly the limit; one more row and column is over
         assert SceneSpec(kind=SceneKind.PLANE, extent=4095.0, pitch=1.0).n_points == MAX_SCENE_POINTS
         with pytest.raises(InvalidParamsError):
             SceneSpec(kind=SceneKind.PLANE, extent=4096.0, pitch=1.0)
+
+
+@pytest.mark.parametrize(
+    "pinned", PINNED_SCENES, ids=lambda r: f"{r['kind']}-{r['extent']}-jitter{r['jitter']}"
+)
+def test_scene_bits_match_pinned_digest(pinned):
+    spec = SceneSpec(kind=SceneKind(pinned["kind"]), extent=pinned["extent"], pitch=0.01,
+                     jitter=pinned["jitter"], seed=pinned["seed"])
+    cloud = generate_scene(spec)
+    assert len(cloud) == spec.n_points == pinned["n_points"]
+    assert cloud.resolution == 0.01
+    assert hashlib.sha256(cloud.xyz.tobytes() + cloud.rgb.tobytes()).hexdigest() == pinned["sha256"]
 
 
 class TestPlane:
