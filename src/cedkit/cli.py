@@ -305,6 +305,11 @@ def main(argv: list[str] | None = None) -> int:
     except (CedkitError, OSError) as exc:
         print(f"cedkit: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy names the array it could not allocate; scipy's C++ says std::bad_alloc
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"cedkit: error: out of memory{detail}; try a smaller radius", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -51,9 +51,10 @@ class SceneKind(Enum):
 class SceneSpec:
     """Parameters of a generated scene; the cloud resolution equals pitch.
 
-    Requires 0 < pitch <= extent < inf, 0 < tile < inf, finite extent / pitch
-    and tile / pitch, 0 <= jitter < 0.5, seed >= 0, colors of three channels
-    in [0, 1] and at most MAX_SCENE_POINTS points; InvalidParamsError otherwise.
+    Requires 0 < pitch <= extent < inf (a room: extent of at least two
+    pitches), 0 < tile < inf, finite extent / pitch and tile / pitch,
+    0 <= jitter < 0.5, an integer seed >= 0, colors of three channels in
+    [0, 1] and at most MAX_SCENE_POINTS points; InvalidParamsError otherwise.
     """
 
     kind: SceneKind
@@ -80,14 +81,20 @@ class SceneSpec:
                 raise InvalidParamsError(
                     f"{name} / pitch must be finite, got {getattr(self, name)} / {self.pitch}"
                 )
-        if self.seed < 0:
-            raise InvalidParamsError(f"seed must be a non-negative integer, got {self.seed}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidParamsError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 <= self.jitter < 0.5:
             raise InvalidParamsError(f"jitter must be in [0, 0.5), got {self.jitter}")
         for name in ("base_color", "alt_color", "wall_color"):
             color = getattr(self, name)
             if len(color) != 3 or not all(0.0 <= c <= 1.0 for c in color):
                 raise InvalidParamsError(f"{name} must be three channels in [0, 1]")
+        if self.kind is SceneKind.ROOM_COMPOSITE and int(round(self.extent / self.pitch)) < 2:
+            # at one pitch the faces are a floor and a ceiling with no walls
+            raise InvalidParamsError(
+                f"a room needs an extent of at least two pitches, got extent {self.extent}, "
+                f"pitch {self.pitch}"
+            )
         count = self.n_points
         if count > MAX_SCENE_POINTS:
             raise InvalidParamsError(

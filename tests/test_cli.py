@@ -302,6 +302,23 @@ class TestNegativeSeed:
         assert not out.exists()
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command", ["detect", "repeat", "ablate"])
+    @pytest.mark.parametrize("message", ["std::bad_alloc", ""])
+    def test_exit_1_with_one_line(self, tiny_ply, tmp_path, capsys, monkeypatch, command, message):
+        def exhausted(self, radius):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cedkit.index.SpatialIndex, "neighbor_graph", exhausted)
+        out = tmp_path / "out.csv"
+        code = main([command, "-i", str(tiny_ply), "--radius", "0.5", "-o", str(out)])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("cedkit: error: out of memory")
+        assert message in line
+        assert not out.exists()
+
+
 class TestRepeat:
     def test_report_csv(self, tmp_path):
         scene = tmp_path / "floor.ply"

@@ -24,6 +24,9 @@ class TestSceneSpec:
             SceneSpec(kind=SceneKind.PLANE, jitter=0.5)
         with pytest.raises(InvalidParamsError, match="seed"):
             SceneSpec(kind=SceneKind.PLANE, jitter=0.3, seed=-1)
+        for seed in (1.5, 2.0, "3", None):
+            with pytest.raises(InvalidParamsError, match="seed"):
+                SceneSpec(kind=SceneKind.PLANE, jitter=0.3, seed=seed)
         with pytest.raises(InvalidParamsError):
             SceneSpec(kind=SceneKind.PLANE, base_color=(2.0, 0.0, 0.0))
         with pytest.raises(InvalidParamsError):
@@ -44,6 +47,10 @@ class TestSceneSpec:
     @pytest.mark.parametrize("kind", list(SceneKind))
     @pytest.mark.parametrize("extent, pitch", [(0.01, 0.01), (0.02, 0.01), (0.05, 0.02), (0.13, 0.01), (0.3, 0.05)])
     def test_point_count_matches_generated_scene(self, kind, extent, pitch):
+        if kind is SceneKind.ROOM_COMPOSITE and extent < 2 * pitch:
+            with pytest.raises(InvalidParamsError, match="two pitches"):
+                SceneSpec(kind=kind, extent=extent, pitch=pitch)
+            return
         spec = SceneSpec(kind=kind, extent=extent, pitch=pitch)
         assert spec.n_points == len(generate_scene(spec))
 
@@ -53,6 +60,17 @@ class TestSceneSpec:
         for extent, pitch in [(1.0, 1e-10), (1e20, 1.0)]:
             with pytest.raises(InvalidParamsError, match="points, more than"):
                 SceneSpec(kind=kind, extent=extent, pitch=pitch)
+
+    def test_room_needs_two_pitches(self):
+        for extent in (0.01, 0.014):
+            with pytest.raises(InvalidParamsError, match="two pitches"):
+                SceneSpec(kind=SceneKind.ROOM_COMPOSITE, extent=extent, pitch=0.01)
+        # two pitches is the smallest closed box: every lattice point but the center
+        assert len(generate_scene(SceneSpec(kind=SceneKind.ROOM_COMPOSITE, extent=0.02, pitch=0.01))) == 26
+
+    def test_integer_seeds_accepted(self):
+        for seed in (0, 7, np.int64(7)):
+            generate_scene(SceneSpec(kind=SceneKind.PLANE, extent=0.05, jitter=0.3, seed=seed))
 
     def test_point_limit_is_inclusive(self):
         # a 4096 x 4096 plane is exactly the limit; one more row and column is over
