@@ -24,4 +24,4 @@ def detect_random(cloud: ColoredPointCloud, count: int, seed: int) -> KeypointSe
     for k in range(count):
         j = int(rng.integers(k, n))
         pool[k], pool[j] = pool[j], pool[k]
-    return KeypointSet(np.sort(pool[:count]), params=None)
+    return KeypointSet(np.sort(pool[:count]))

@@ -7,12 +7,14 @@ sense); diagnostics go to stderr. Exit codes: 0 success, 2 usage or parameter
 error, 1 runtime failure. Seeds default to fixed constants so runs are
 reproducible; a seed is a non-negative integer, or ``random`` to opt into
 entropy. Set the CED_LOG environment variable (DEBUG, INFO, ...) to control
-log verbosity; an unknown level name is a usage error (exit 2).
+log verbosity; main reads it on every call, so in-process calls can differ,
+and an unknown level name is a usage error (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -100,7 +102,9 @@ def _add_detector_flags(parser, scalar_thresholds=True):
                         help="non-negative integer seed or 'random' (default %(default)s)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cedkit",
         description="Keypoint detection and evaluation for colored point clouds.",
@@ -278,7 +282,23 @@ _COMMANDS = {
 }
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to sys.stderr as it is when the record is emitted."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+_log_handler = _StderrHandler()
+
+
 def _configure_logging():
+    """Set the cedkit loggers' level from CED_LOG, on every call of main."""
     name = os.environ.get("CED_LOG") or "WARNING"
     # getLevelName maps a registered level name to its number, anything else to a str
     level = logging.getLevelName(name.upper())
@@ -286,11 +306,8 @@ def _configure_logging():
         raise InvalidParamsError(
             f"unknown CED_LOG level {name!r}; use DEBUG, INFO, WARNING, ERROR or CRITICAL"
         )
-    logging.basicConfig(
-        level=level,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logger.setLevel(level)
+    logger.addHandler(_log_handler)  # a no-op once added
 
 
 def main(argv: list[str] | None = None) -> int:

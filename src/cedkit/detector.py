@@ -2,9 +2,8 @@
 
 Per point, saliency is the distance from the point to the centroid of its
 strict-radius neighborhood: L2 in geometric space, L1 in RGB space. Both
-centroids come from one neighborhood sum over the [xyz|rgb|1] columns, taken
-as a sparse product over the neighbor graph's two contiguous pair columns;
-the ones column sums to the neighborhood sizes. Both measures are
+centroids come from one neighborhood sum over the [xyz|rgb|1] columns; the
+ones column sums to the neighborhood sizes. Both measures are
 invariant to rigid motion because the neighborhood's shape (and its colors)
 move with the query point. Keypoints are the points whose product of
 saliencies is not strictly beaten by any neighbor and that pass a
@@ -21,10 +20,24 @@ prepares each cloud once.
 
 Points whose neighborhood is smaller than ``min_neighbors`` are marked
 invalid: they are never selected and never suppress anyone.
+
+The neighborhood sums are the sparse product (U v + U^T v) + v, where U has
+a one at each of the graph's pairs (i < j) and v holds the point columns.
+``coo_array @ ndarray`` computes U v with scipy's COO kernel
+``coo_matmat_dense``, which adds x[col] to y[row] pair by pair, in pair
+order; but a coo_array needs a float64 data array, 8 bytes per pair that only
+mark positions. So the sums feed the kernel the graph's contiguous pair
+columns block by block, with one reused block of ones, and accumulate U v
+and U^T v in two arrays, which are then added as before: every field keeps
+its bits, and no per-pair array is allocated. The kernel is private to
+scipy, so it is used only after a check, once per process, that it
+reproduces the public product bit for bit on a small graph of two blocks;
+when it is missing or differs, the sums go through coo_array as before.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -46,7 +59,9 @@ DEFAULT_COLOR_THRESHOLD = 0.1
 DEFAULT_MIN_NEIGHBORS = 5
 # Pairs per block in local_maxima: a block's widened indices and gathered
 # products (64 KiB each) stay in cache. On a 99k-point room's 2.4M int32 pairs
-# this took the two np.maximum.at passes from about 30 ms to 21 ms.
+# this took the two np.maximum.at passes from about 30 ms to 21 ms. The
+# neighborhood sums use the same blocks: 16,384, 65,536 and 262,144 pairs per
+# block were no faster there.
 _PAIR_BLOCK = 1 << 13
 
 
@@ -120,13 +135,9 @@ class SaliencyField:
 
 @dataclass(frozen=True)
 class KeypointSet:
-    """Ascending, unique indices of selected points plus the parameters used.
-
-    params is None for detectors that take no DetectorParams (e.g. random).
-    """
+    """Ascending, unique indices of selected points."""
 
     indices: np.ndarray
-    params: DetectorParams | None
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -144,6 +155,76 @@ class DetectionResult:
     photometric: SaliencyField | None
 
 
+def _sums_by_coo(first: np.ndarray, second: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(U v + U^T v) + v through scipy's public sparse product.
+
+    U holds a one at each upper-triangular pair (first, second): every pair
+    adds each end's values to the other's sum, and every point counts
+    itself. The fallback when _pair_kernel finds no usable kernel, and the
+    reference it is checked against.
+    """
+    n = values.shape[0]
+    upper = coo_array((np.ones(first.shape[0]), (first, second)), shape=(n, n))
+    # Summed in place, so that one (n, k) temporary fewer is live; the ones
+    # (8 bytes per pair) are freed before the caller's offsets.
+    sums = upper @ values
+    sums += upper.T @ values
+    del upper
+    sums += values
+    return sums
+
+
+def _sums_by_blocks(
+    kernel, first: np.ndarray, second: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """_sums_by_coo's sums, bit for bit, with no per-pair array.
+
+    kernel(nnz, k, rows, cols, data, x, y) adds data[p] * x[cols[p]] to
+    y[rows[p]] for p in order; the pairs go to it block by block (see the
+    module docstring).
+    """
+    n, k = values.shape
+    flat = values.ravel()
+    ones = np.ones(_PAIR_BLOCK)
+    sums = np.zeros((n, k))
+    transposed = np.zeros((n, k))
+    for start in range(0, first.shape[0], _PAIR_BLOCK):
+        i = first[start:start + _PAIR_BLOCK]
+        j = second[start:start + _PAIR_BLOCK]
+        kernel(i.shape[0], k, i, j, ones, flat, sums)
+        kernel(i.shape[0], k, j, i, ones, flat, transposed)
+    sums += transposed
+    del transposed
+    sums += values
+    return sums
+
+
+@functools.cache
+def _pair_kernel():
+    """scipy's private COO kernel if it matches _sums_by_coo here, else None.
+
+    Checked once per process on a small random graph of two blocks, with
+    int32 and int64 columns: a scipy without the kernel, with another
+    signature, or with another summation order falls back to coo_array.
+    """
+    try:
+        from scipy.sparse._sparsetools import coo_matmat_dense as kernel
+    except ImportError:
+        return None
+    rng = np.random.default_rng(0)
+    values = rng.random((64, 7))
+    pairs = np.sort(rng.integers(0, 64, size=(2, _PAIR_BLOCK + 1000)), axis=0)
+    try:
+        for dtype in (np.int32, np.int64):
+            first, second = pairs.astype(dtype)
+            got = _sums_by_blocks(kernel, first, second, values)
+            if not np.array_equal(got, _sums_by_coo(first, second, values)):
+                return None
+    except (TypeError, ValueError):  # another signature or other argument types
+        return None
+    return kernel
+
+
 def saliency_from_graph(
     cloud: ColoredPointCloud, graph: NeighborGraph, params: DetectorParams
 ) -> tuple[SaliencyField, SaliencyField | None]:
@@ -158,17 +239,17 @@ def saliency_from_graph(
     columns = [cloud.xyz, cloud.rgb] if ced else [cloud.xyz]
     values = np.hstack(columns + [np.ones((n, 1))])
 
-    # Neighborhood sums over the upper-triangular pairs U: every pair adds
-    # each end's values to the other's sum, and every point counts itself.
-    # The last column, all ones, thus sums to the neighborhood size.
+    # Neighborhood sums of the [xyz|rgb|1] columns (see _sums_by_coo): the
+    # last column, all ones, sums to the neighborhood size. The kernel
+    # writes wherever the pairs point, so they are checked as coo_array did.
     first, second = graph.pairs.T
-    upper = coo_array((np.ones(first.shape[0]), (first, second)), shape=(n, n))
-    # Summed in place as (U v + U^T v) + v, so that one (n, k) temporary
-    # fewer is live; the ones (8 bytes per pair) are freed before the offsets.
-    sums = upper @ values
-    sums += upper.T @ values
-    del upper
-    sums += values
+    if first.shape[0] and not (0 <= graph.pairs.min() and graph.pairs.max() < n):
+        raise InvalidParamsError(f"neighbor graph pairs must index {n} points")
+    kernel = _pair_kernel()
+    if kernel is None:
+        sums = _sums_by_coo(first, second, values)
+    else:
+        sums = _sums_by_blocks(kernel, first, second, values)
     counts = sums[:, -1]
     valid = counts >= params.min_neighbors
     offsets = values[:, :-1] - sums[:, :-1] / counts[:, None]
@@ -323,7 +404,7 @@ def select(prepared: PreparedCloud, params: DetectorParams) -> KeypointSet:
     if params.mode is DetectorMode.CED:
         thresholds.append(params.color_threshold)
     indices = multimodal_nms(prepared.fields, thresholds, prepared.local_max)
-    return KeypointSet(indices, params)
+    return KeypointSet(indices)
 
 
 def detect_with_fields(cloud: ColoredPointCloud, params: DetectorParams) -> DetectionResult:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import logging
 import os
 import subprocess
 import sys
@@ -317,6 +319,43 @@ class TestOutOfMemory:
         assert line.startswith("cedkit: error: out of memory")
         assert message in line
         assert not out.exists()
+
+
+class TestInProcessCalls:
+    """main called repeatedly in one process, as perfbench and the tests do."""
+
+    def test_log_level_follows_each_call(self, tiny_ply, capfd, monkeypatch):
+        argv = ["detect", "-i", str(tiny_ply), "--radius", "0.5", "-o", os.devnull]
+        level = logging.getLogger("cedkit").level
+        try:
+            monkeypatch.setenv("CED_LOG", "WARNING")
+            assert main(argv) == 0
+            assert capfd.readouterr().err == ""
+            monkeypatch.setenv("CED_LOG", "INFO")
+            assert main(argv) == 0
+            assert capfd.readouterr().err == "INFO cedkit: detected 0 keypoints in 12 points\n"
+        finally:
+            logging.getLogger("cedkit").setLevel(level)
+
+    @pytest.mark.parametrize("command", ["detect", "repeat", "ablate", "synth"])
+    def test_no_cyclic_garbage(self, probe_room, tmp_path, command):
+        scene = tmp_path / "room.ply"
+        scene.write_bytes(write_cloud(probe_room, CloudFormat.PLY_BINARY_LE))
+        out = str(tmp_path / "out")
+        argv = {
+            "detect": ["detect", "-i", str(scene), "-o", out],
+            "repeat": ["repeat", "-i", str(scene), "--trials", "2", "-o", out],
+            "ablate": ["ablate", "-i", str(scene), "--trials", "1", "--tg", "0.1,0.2", "-o", out],
+            "synth": ["synth", "--kind", "plane", "--extent", "0.1", "-o", out + ".ply"],
+        }[command]
+        assert main(argv) == 0  # builds the parser and finishes lazy imports
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRepeat:

@@ -80,7 +80,7 @@ class TestEvaluateRepeatability:
         def one_then_none(c):
             calls.append(c)
             indices = [0] if len(calls) == 1 else []
-            return KeypointSet(np.array(indices, dtype=np.int64), params=None)
+            return KeypointSet(np.array(indices, dtype=np.int64))
 
         report = evaluate_repeatability(
             cloud,
@@ -95,7 +95,7 @@ class TestEvaluateRepeatability:
         cloud = random_colored_cloud(rng, 100)
 
         def nothing(c):
-            return KeypointSet(np.array([], dtype=np.int64), params=None)
+            return KeypointSet(np.array([], dtype=np.int64))
 
         report = evaluate_repeatability(cloud, nothing, RepeatabilityConfig(trials=2))
         assert report.empty_keypoint_set
@@ -160,7 +160,7 @@ class TestEvaluateRepeatability:
 
         def spy(c):
             seen.append(c.xyz.copy())
-            return KeypointSet(np.arange(5), params=None)
+            return KeypointSet(np.arange(5))
 
         evaluate_repeatability(
             cloud,
