@@ -6,7 +6,6 @@ selected with a multi-modal non-maximum suppression. The package also ships
 PLY/PCD IO, synthetic scenes, and a repeatability/runtime evaluation harness.
 """
 
-from .baseline import detect_random
 from .cloud import (
     ColoredPointCloud,
     RigidTransform,
@@ -37,6 +36,7 @@ from .evaluation import (
     RuntimeStats,
     ablation_sweep,
     ced_detector,
+    detect_random,
     evaluate_repeatability,
     measure_runtime,
     random_detector,

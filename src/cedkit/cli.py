@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import detect_random
 from .cloud import ColoredPointCloud
 from .cloudio import CloudFormat, parse_cloud, sniff_format, write_cloud
 from .detector import (
@@ -42,6 +41,7 @@ from .evaluation import (
     ablation_csv,
     ablation_sweep,
     ced_detector,
+    detect_random,
     evaluate_repeatability,
     measure_runtime,
     random_detector,
@@ -84,20 +84,23 @@ def _add_input_flags(parser):
     )
 
 
-def _add_detector_flags(parser, scalar_thresholds=True):
+def _add_detector_flags(parser, sweep=False):
+    """Detector flags; a threshold sweep takes lists of thresholds and no random mode."""
     parser.add_argument("--radius", type=float, default=None,
                         help="search radius in meters (default 5 x cloud resolution)")
-    if scalar_thresholds:
+    if not sweep:
         parser.add_argument("--tg", type=float, default=DEFAULT_GEO_THRESHOLD,
                             help="geometric threshold in [0, 1] (default %(default)s)")
         parser.add_argument("--tc", type=float, default=DEFAULT_COLOR_THRESHOLD,
                             help="color threshold in [0, 3] (default %(default)s)")
-    parser.add_argument("--mode", choices=[m.value for m in DetectorMode] + ["random"],
+    modes = [m.value for m in DetectorMode] + ([] if sweep else ["random"])
+    parser.add_argument("--mode", choices=modes,
                         default=DetectorMode.CED.value, help="detector (default %(default)s)")
     parser.add_argument("--min-neighbors", type=int, default=DEFAULT_MIN_NEIGHBORS,
                         help="validity floor for neighborhood size (default %(default)s)")
-    parser.add_argument("--count", type=int, default=100,
-                        help="keypoint count for --mode random (default %(default)s)")
+    if not sweep:
+        parser.add_argument("--count", type=int, default=100,
+                            help="keypoint count for --mode random (default %(default)s)")
     parser.add_argument("--seed", type=_parse_seed, default=str(DEFAULT_SEED),
                         help="non-negative integer seed or 'random' (default %(default)s)")
 
@@ -130,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ablate = sub.add_parser("ablate", help="threshold sweep")
     _add_input_flags(p_ablate)
-    _add_detector_flags(p_ablate, scalar_thresholds=False)
+    _add_detector_flags(p_ablate, sweep=True)
     p_ablate.add_argument("--epsilon", type=float, default=None)
     p_ablate.add_argument("--sigma", type=float, default=0.0,
                           help="noise sigma for sweep rows (default %(default)s)")
@@ -234,8 +237,6 @@ def _cmd_repeat(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    if args.mode == "random":
-        raise InvalidParamsError("ablate sweeps detector thresholds; --mode random has none")
     cloud = _load_cloud(args)
     config = _repeat_config(args)
     rows = ablation_sweep(

@@ -28,11 +28,12 @@ a one at each of the graph's pairs (i < j) and v holds the point columns.
 order; but a coo_array needs a float64 data array, 8 bytes per pair that only
 mark positions. So the sums feed the kernel the graph's contiguous pair
 columns block by block, with one reused block of ones, and accumulate U v
-and U^T v in two arrays, which are then added as before: every field keeps
-its bits, and no per-pair array is allocated. The kernel is private to
-scipy, so it is used only after a check, once per process, that it
-reproduces the public product bit for bit on a small graph of two blocks;
-when it is missing or differs, the sums go through coo_array as before.
+and U^T v in two arrays, which are then added in the public product's order:
+every field has the coo_array product's bits, and no per-pair array is
+allocated. The kernel is private to scipy, so it is used only after a check,
+once per process, that it reproduces the public product bit for bit on a
+small graph of two blocks; when it is missing or differs, the sums go
+through coo_array.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from scipy.sparse import coo_array
 from .cloud import ColoredPointCloud
 from .cloudio import CloudFormat, format_rows, write_cloud
 from .errors import InvalidParamsError, MisalignedFieldsError, NoColorError
-from .index import NeighborGraph, build_index
+from .index import _PAIR_BLOCK, NeighborGraph, build_index
 
 logger = logging.getLogger(__name__)
 
@@ -57,12 +58,6 @@ DEFAULT_RADIUS_FACTOR = 5.0
 DEFAULT_GEO_THRESHOLD = 0.2
 DEFAULT_COLOR_THRESHOLD = 0.1
 DEFAULT_MIN_NEIGHBORS = 5
-# Pairs per block in local_maxima: a block's widened indices and gathered
-# products (64 KiB each) stay in cache. On a 99k-point room's 2.4M int32 pairs
-# this took the two np.maximum.at passes from about 30 ms to 21 ms. The
-# neighborhood sums use the same blocks: 16,384, 65,536 and 262,144 pairs per
-# block were no faster there.
-_PAIR_BLOCK = 1 << 13
 
 
 class DetectorMode(Enum):
@@ -443,16 +438,12 @@ def export_keypoints_csv(
     return "index,x,y,z,r,g,b,d_g,d_c\n" + format_rows(columns, line)
 
 
-def export_keypoints_ply(
-    cloud: ColoredPointCloud,
-    keypoints: KeypointSet,
-    fmt: CloudFormat = CloudFormat.PLY_ASCII,
-) -> bytes:
-    """The selected points as a standalone point-cloud file."""
+def export_keypoints_ply(cloud: ColoredPointCloud, keypoints: KeypointSet) -> bytes:
+    """The selected points as a standalone ASCII PLY file."""
     subset = ColoredPointCloud(
         cloud.xyz[keypoints.indices],
         cloud.rgb[keypoints.indices],
         cloud.resolution,
         cloud.has_color,
     )
-    return write_cloud(subset, fmt)
+    return write_cloud(subset, CloudFormat.PLY_ASCII)

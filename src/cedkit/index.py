@@ -17,16 +17,16 @@ order in which the pairs come out follows the slabs and the trees' layout.
 Saliency sums each neighborhood in pair order, so the last ulp of a
 centroid, and thus of the color field, follows that order too.
 
-A cloud of at most 32,768 points is indexed by one tree, and one
-``query_pairs`` call returns every candidate. A larger cloud is cut into
-equal-width slabs along its longest axis: one slab per 32,768 points, but
-fewer when a slab would be narrower than 2.5 candidate radii, so that a pair
-can only join two neighboring slabs. Each slab's pairs come from a tree over
-that slab alone. The pairs across a cut come from ``sparse_distance_matrix``
-between the two bands of points within 2 radii on either side of it (one
-radius would do; the rest is margin for rounding). Pairs come out slab by
-slab, each slab's own pairs before those across its upper cut, and within a
-query in its tree's order.
+Each query builds its trees. It cuts the cloud into equal-width slabs along
+its longest axis: one slab per 32,768 points, but fewer when a slab would be
+narrower than 2.5 candidate radii, so that a pair can only join two
+neighboring slabs. A cloud of one slab is indexed by one tree, and one
+``query_pairs`` call returns every candidate. Otherwise each slab's pairs
+come from a tree over that slab alone, and the pairs across a cut come from
+``sparse_distance_matrix`` between the two bands of points within 2 radii on
+either side of it (one radius would do; the rest is margin for rounding).
+Pairs come out slab by slab, each slab's own pairs before those across its
+upper cut, and within a query in its tree's order.
 
 The slabs bound memory. ``query_pairs`` collects its pairs in a vector that
 grows by doubling, 16 bytes per pair. On a 99k-point room (2.45M pairs) one
@@ -59,11 +59,17 @@ from .errors import EmptyCloudError, InvalidParamsError
 # Candidate radius inflation; guards against last-ulp disagreement between the
 # tree's internal metric and the strict test below.
 _CANDIDATE_SLACK = 1.0 + 1e-9
-# Pairs rechecked per block in neighbor_graph: a block's temporaries (64 KiB
-# each) stay in cache. Re-measured with the int32 columns on a 99k-point
-# room's 2.4M pairs: 8,192 and 16,384 pairs per block tie (about 46 ms with
-# the column fill), 4,096 is slower, one pass over all pairs takes 2.2x longer.
-_RECHECK_BLOCK = 1 << 13
+# Pairs per block wherever a pass walks the pairs: a block's temporaries
+# (64 KiB each) stay in cache. Measured on a 99k-point room's 2.4M int32
+# pairs:
+# - the strict recheck in neighbor_graph: 8,192 and 16,384 pairs per block
+#   tie (about 46 ms with the column fill), 4,096 is slower, one pass over
+#   all pairs takes 2.2x longer;
+# - local_maxima (detector): blocks took its two np.maximum.at passes from
+#   about 30 ms to 21 ms;
+# - the neighborhood sums (detector): 16,384, 65,536 and 262,144 pairs per
+#   block were no faster.
+_PAIR_BLOCK = 1 << 13
 # Clouds of more points are queried in slabs of this many points on average
 # (see the module docstring).
 _SLAB_POINTS = 1 << 15
@@ -97,14 +103,12 @@ class NeighborGraph:
 
 
 class SpatialIndex:
-    """Immutable k-d tree over a cloud's geometry; safe for concurrent queries."""
+    """Immutable index over a cloud's geometry; safe for concurrent queries."""
 
     def __init__(self, cloud: ColoredPointCloud):
         if len(cloud) == 0:
             raise EmptyCloudError("cannot index an empty cloud")
         self._xyz = cloud.xyz
-        # A larger cloud is queried slab by slab, with a tree per slab.
-        self._tree = _kdtree(self._xyz) if len(cloud) <= _SLAB_POINTS else None
         # Contiguous per-axis columns: the strict test gathers one axis at a time.
         self._columns = tuple(np.ascontiguousarray(self._xyz[:, axis]) for axis in range(3))
 
@@ -118,8 +122,11 @@ class SpatialIndex:
         reach = radius * _CANDIDATE_SLACK
         narrow = len(self) - 1 <= np.iinfo(np.int32).max
         dtype = np.int32 if narrow else np.int64
-        if self._tree is not None:
-            candidates = self._tree.query_pairs(reach, output_type="ndarray")
+        spans = [float(column.max()) - float(column.min()) for column in self._columns]
+        axis = int(np.argmax(spans))
+        n_slabs = int(min(-(-len(self) // _SLAB_POINTS), spans[axis] / (_SLAB_WIDTH * reach)))
+        if n_slabs < 2:
+            candidates = _kdtree(self._xyz).query_pairs(reach, output_type="ndarray")
             columns = np.empty((2, len(candidates)), dtype=dtype)
             m = self._append_within(candidates, None, radius, *columns, 0)
             del candidates
@@ -128,7 +135,7 @@ class SpatialIndex:
             return NeighborGraph(len(self), columns.T)
         first, second = np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)
         m = 0
-        for candidates, ids in self._slab_candidates(reach):
+        for candidates, ids in self._slab_candidates(reach, axis, n_slabs):
             # resize reallocates, and glibc remaps a large buffer rather
             # than copying it; the new room is zeroed, then overwritten
             for column in (first, second):
@@ -145,9 +152,9 @@ class SpatialIndex:
 
         Candidates are rechecked block by block; returns the new pair count.
         """
-        for start in range(0, len(candidates), _RECHECK_BLOCK):
-            i = candidates[start:start + _RECHECK_BLOCK, 0]
-            j = candidates[start:start + _RECHECK_BLOCK, 1]
+        for start in range(0, len(candidates), _PAIR_BLOCK):
+            i = candidates[start:start + _PAIR_BLOCK, 0]
+            j = candidates[start:start + _PAIR_BLOCK, 1]
             if ids is not None:
                 i, j = ids[i], ids[j]
             keep = self._strictly_within(i, j, radius)
@@ -158,20 +165,15 @@ class SpatialIndex:
             m += len(i)
         return m
 
-    def _slab_candidates(self, reach: float):
-        """Blocks (pairs, ids) of candidate pairs within reach, slab by slab.
+    def _slab_candidates(self, reach: float, axis: int, n_slabs: int):
+        """Blocks (pairs, ids) of candidate pairs within reach, n_slabs >= 2 slabs along axis.
 
         Each (k, 2) block indexes ids, or the cloud when ids is None; mapped
         to the cloud, every row is i < j and each pair comes out once.
         """
-        spans = [float(column.max()) - float(column.min()) for column in self._columns]
-        axis = int(np.argmax(spans))
-        n_slabs = int(min(-(-len(self) // _SLAB_POINTS), spans[axis] / (_SLAB_WIDTH * reach)))
-        if n_slabs < 2:
-            yield _kdtree(self._xyz).query_pairs(reach, output_type="ndarray"), None
-            return
         coords = self._columns[axis]
-        lo, width = float(coords.min()), spans[axis] / n_slabs
+        lo = float(coords.min())
+        width = (float(coords.max()) - lo) / n_slabs
         cuts = lo + width * np.arange(1, n_slabs)
         # slab k holds cuts[k - 1] <= coordinate < cuts[k]
         slab = np.searchsorted(cuts, coords, side="right")

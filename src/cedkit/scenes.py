@@ -35,6 +35,11 @@ from .errors import InvalidParamsError
 
 Color = tuple[float, float, float]
 
+# Fixed scene colors; the checker pattern alternates base and alt tiles.
+_BASE_COLOR: Color = (0.8, 0.2, 0.2)
+_ALT_COLOR: Color = (0.2, 0.8, 0.2)
+_WALL_COLOR: Color = (0.5, 0.5, 0.5)
+
 # Largest scene generate_scene builds (16.8M points, about 0.8 GB of float64
 # coordinates and colors); SceneSpec rejects a larger one before allocating.
 MAX_SCENE_POINTS = 1 << 24
@@ -53,17 +58,14 @@ class SceneSpec:
 
     Requires 0 < pitch <= extent < inf (a room: extent of at least two
     pitches), 0 < tile < inf, finite extent / pitch and tile / pitch,
-    0 <= jitter < 0.5, an integer seed >= 0, colors of three channels in
-    [0, 1] and at most MAX_SCENE_POINTS points; InvalidParamsError otherwise.
+    0 <= jitter < 0.5, an integer seed >= 0 and at most MAX_SCENE_POINTS
+    points; InvalidParamsError otherwise. The colors are fixed.
     """
 
     kind: SceneKind
     extent: float = 1.0
     pitch: float = 0.01
     tile: float = 0.2
-    base_color: Color = (0.8, 0.2, 0.2)
-    alt_color: Color = (0.2, 0.8, 0.2)
-    wall_color: Color = (0.5, 0.5, 0.5)
     jitter: float = 0.0
     seed: int = 0
 
@@ -85,10 +87,6 @@ class SceneSpec:
             raise InvalidParamsError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 <= self.jitter < 0.5:
             raise InvalidParamsError(f"jitter must be in [0, 0.5), got {self.jitter}")
-        for name in ("base_color", "alt_color", "wall_color"):
-            color = getattr(self, name)
-            if len(color) != 3 or not all(0.0 <= c <= 1.0 for c in color):
-                raise InvalidParamsError(f"{name} must be three channels in [0, 1]")
         if self.kind is SceneKind.ROOM_COMPOSITE and int(round(self.extent / self.pitch)) < 2:
             # at one pitch the faces are a floor and a ceiling with no walls
             raise InvalidParamsError(
@@ -124,17 +122,17 @@ def _faces(spec: SceneSpec) -> list[tuple[tuple[range, range, range], Color | No
     side, inner = range(n + 1), range(1, n)
     floor = (side, side, _at(0))
     if spec.kind is SceneKind.PLANE:
-        return [(floor, spec.base_color)]
+        return [(floor, _BASE_COLOR)]
     if spec.kind is SceneKind.CHECKER_FLOOR:
         return [(floor, None)]
     if spec.kind is SceneKind.BOX_CORNER:
         # the z = 0 face keeps both axis lines, the y = 0 face the x axis line
-        rise, base = range(1, n + 1), spec.base_color
+        rise, base = range(1, n + 1), _BASE_COLOR
         return [(floor, base), ((side, _at(0), rise), base), ((_at(0), rise, rise), base)]
     # room: checkered floor, ceiling, then walls open at top and bottom; the
     # front and back walls keep the vertical edges
     n_z = max(2, int(round(0.4 * spec.extent / spec.pitch)))
-    height, wall = range(1, min(n_z, n)), spec.wall_color
+    height, wall = range(1, min(n_z, n)), _WALL_COLOR
     return [(floor, None), ((side, side, _at(n_z)), wall),
             ((side, _at(0), height), wall), ((side, _at(n), height), wall),
             ((_at(0), inner, height), wall), ((_at(n), inner, height), wall)]
@@ -142,8 +140,8 @@ def _faces(spec: SceneSpec) -> list[tuple[tuple[range, range, range], Color | No
 
 def generate_scene(spec: SceneSpec) -> ColoredPointCloud:
     """Deterministic cloud for the spec; identical spec, identical cloud."""
-    base = np.asarray(spec.base_color, dtype=np.float64)
-    alt = np.asarray(spec.alt_color, dtype=np.float64)
+    base = np.asarray(_BASE_COLOR, dtype=np.float64)
+    alt = np.asarray(_ALT_COLOR, dtype=np.float64)
     tiles_per = max(1, int(round(spec.tile / spec.pitch)))
     lattices, colors = [], []
     for axes, paint in _faces(spec):

@@ -387,6 +387,22 @@ class TestAblate:
         counts = [int(line.split(",")[2]) for line in lines[2:]]
         assert counts == sorted(counts, reverse=True)
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--count", "5"], "unrecognized arguments: --count 5"),
+         (["--mode", "random"], "invalid choice: 'random'")],
+        ids=["count", "mode-random"],
+    )
+    def test_random_selection_flags_are_usage_errors(self, tiny_ply, tmp_path, capsys,
+                                                     flags, message):
+        # a sweep varies detector thresholds; random selection has none
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ablate", "-i", str(tiny_ply), "--trials", "1", *flags, "-o", str(out)])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     def test_runtime_csv(self, plane_ply, tmp_path):

@@ -257,11 +257,16 @@ class TestSlabs:
         assert crossing >= 4
 
     def test_small_clouds_keep_one_tree(self, rng, slab_trees):
-        xyz = rng.uniform(0, 1, size=(64, 3))
-        graph = build_index(cloud_of(xyz)).neighbor_graph(0.05)
-        assert slab_trees == [64]
-        order = np.lexsort((graph.pairs[:, 1], graph.pairs[:, 0]))
-        assert np.array_equal(graph.pairs[order], scan_pairs(xyz, 0.05))
+        # 64 points fill one slab. 200 points would fill four, but x spans
+        # under 5 radii, too narrow for two slabs of 2.5 candidate radii.
+        for xyz in (rng.uniform(0, 1, size=(64, 3)), rng.uniform(0, 0.24, size=(200, 3))):
+            del slab_trees[:]
+            built = build_index(cloud_of(xyz))
+            assert slab_trees == []  # the query builds the tree, not the index
+            graph = built.neighbor_graph(0.05)
+            assert slab_trees == [len(xyz)]
+            order = np.lexsort((graph.pairs[:, 1], graph.pairs[:, 0]))
+            assert np.array_equal(graph.pairs[order], scan_pairs(xyz, 0.05))
 
     def test_detect_equals_brute_force(self, slab_trees):
         rng = np.random.default_rng(116)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cedkit import SceneKind, SceneSpec, generate_scene
+from cedkit import SceneKind, SceneSpec, generate_scene, scenes
 from cedkit.errors import InvalidParamsError
 from cedkit.scenes import MAX_SCENE_POINTS
 
@@ -27,8 +27,6 @@ class TestSceneSpec:
         for seed in (1.5, 2.0, "3", None):
             with pytest.raises(InvalidParamsError, match="seed"):
                 SceneSpec(kind=SceneKind.PLANE, jitter=0.3, seed=seed)
-        with pytest.raises(InvalidParamsError):
-            SceneSpec(kind=SceneKind.PLANE, base_color=(2.0, 0.0, 0.0))
         with pytest.raises(InvalidParamsError):
             SceneSpec(kind="plane")
         with pytest.raises(InvalidParamsError):
@@ -116,8 +114,8 @@ class TestCheckerFloor:
         ix = np.rint(xyz[:, 0] / 0.01).astype(int)
         iy = np.rint(xyz[:, 1] / 0.01).astype(int)
         parity = (ix // 20 + iy // 20) % 2
-        base = np.asarray(spec.base_color)
-        alt = np.asarray(spec.alt_color)
+        base = np.asarray(scenes._BASE_COLOR)
+        alt = np.asarray(scenes._ALT_COLOR)
         expected = np.where(parity[:, None] == 0, base, alt)
         assert np.array_equal(colors, expected)
 
