@@ -54,7 +54,6 @@ logger = logging.getLogger("cedkit")
 
 DEFAULT_SEED = 7
 
-_FORMATS = {f.value: f for f in CloudFormat}
 _KINDS = {k.value: k for k in SceneKind}
 
 
@@ -75,13 +74,8 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _add_input_flags(parser):
-    parser.add_argument("-i", "--input", required=True, help="input cloud file")
-    parser.add_argument(
-        "--format",
-        choices=sorted(_FORMATS),
-        default=None,
-        help="input format; default sniffs the file header",
-    )
+    parser.add_argument("-i", "--input", required=True,
+                        help="input cloud file; its header declares its format")
 
 
 def _add_detector_flags(parser, sweep=False):
@@ -161,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--jitter", type=float, default=0.0,
                          help="per-axis jitter as a fraction of pitch (default 0)")
     p_synth.add_argument("--seed", type=_parse_seed, default=str(DEFAULT_SEED))
-    p_synth.add_argument("--format", choices=sorted(_FORMATS), default=None,
+    p_synth.add_argument("--format", choices=sorted(f.value for f in CloudFormat), default=None,
                          help="output format (default from -o extension)")
     p_synth.add_argument("-o", "--output", required=True, help="output cloud path")
 
@@ -170,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_cloud(args) -> ColoredPointCloud:
     data = Path(args.input).read_bytes()
-    fmt = _FORMATS[args.format] if args.format else sniff_format(data)
-    return parse_cloud(data, fmt)
+    return parse_cloud(data, sniff_format(data))
 
 
 def _detector_params(args, cloud: ColoredPointCloud) -> DetectorParams:
@@ -265,7 +258,7 @@ def _cmd_synth(args) -> int:
     cloud = generate_scene(spec)
     logger.info("generated %d points", len(cloud))
     if args.format:
-        fmt = _FORMATS[args.format]
+        fmt = CloudFormat(args.format)
     elif args.output.lower().endswith(".pcd"):
         fmt = CloudFormat.PCD_ASCII
     else:
@@ -328,7 +321,3 @@ def main(argv: list[str] | None = None) -> int:
         detail = f" ({exc})" if str(exc) else ""
         print(f"cedkit: error: out of memory{detail}; try a smaller radius", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

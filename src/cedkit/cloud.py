@@ -33,13 +33,19 @@ def require_finite(values: np.ndarray, what: str) -> None:
         )
 
 
-def _frozen_array(values, columns: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True, order="C")
-    if arr.size == 0:
-        arr = arr.reshape(0, columns)
-    if arr.ndim != 2 or arr.shape[1] != columns:
-        raise InvalidParamsError(f"expected an (n, {columns}) array, got shape {arr.shape}")
+def frozen_copy(values, dtype=np.float64) -> np.ndarray:
+    """A read-only, C-ordered copy of values as dtype; the caller's array stays writeable."""
+    arr = np.array(values, dtype=dtype, copy=True, order="C")
     arr.setflags(write=False)
+    return arr
+
+
+def _point_columns(values) -> np.ndarray:
+    arr = frozen_copy(values)
+    if arr.size == 0:
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise InvalidParamsError(f"expected an (n, 3) array, got shape {arr.shape}")
     return arr
 
 
@@ -60,8 +66,8 @@ class ColoredPointCloud:
     has_color: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "xyz", _frozen_array(self.xyz, 3))
-        object.__setattr__(self, "rgb", _frozen_array(self.rgb, 3))
+        object.__setattr__(self, "xyz", _point_columns(self.xyz))
+        object.__setattr__(self, "rgb", _point_columns(self.rgb))
         if self.xyz.shape[0] != self.rgb.shape[0]:
             raise InvalidParamsError("xyz and rgb must have the same number of rows")
         require_finite(self.xyz, "coordinates")
@@ -91,8 +97,8 @@ class RigidTransform:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        rot = np.array(self.rotation, dtype=np.float64, copy=True)
-        trans = np.array(self.translation, dtype=np.float64, copy=True).reshape(3)
+        rot = frozen_copy(self.rotation)
+        trans = frozen_copy(self.translation).reshape(3)
         if rot.shape != (3, 3):
             raise InvalidTransformError(f"rotation must be 3x3, got {rot.shape}")
         defect = np.abs(rot.T @ rot - np.eye(3)).max()
@@ -101,8 +107,6 @@ class RigidTransform:
         det = np.linalg.det(rot)
         if abs(det - 1.0) > ROTATION_TOLERANCE:
             raise InvalidTransformError(f"rotation determinant {det!r} != 1")
-        rot.setflags(write=False)
-        trans.setflags(write=False)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", trans)
 

@@ -103,15 +103,20 @@ def write_cloud(cloud: ColoredPointCloud, fmt: CloudFormat) -> bytes:
 
 
 def sniff_format(data: bytes) -> CloudFormat:
-    """Guess the layout of file bytes from magic lines; raises if unrecognized."""
-    head = data[:4096]
-    if head.startswith(b"ply"):
-        if b"format binary_little_endian" in head:
-            return CloudFormat.PLY_BINARY_LE
-        if b"format ascii" in head:
-            return CloudFormat.PLY_ASCII
-        raise MalformedHeaderError("ply magic without a recognized format line")
-    if b"FIELDS" in head and b"DATA" in head:
+    """The layout that the file's header declares; raises MalformedHeaderError if none.
+
+    A file with the ``ply`` magic has the layout that its header's format line
+    names, the header read and checked as parse_cloud reads it; any other file
+    is PCD ASCII when its header has a FIELDS line before its DATA line, after
+    any number of comment lines.
+    """
+    if data.startswith(b"ply"):
+        return _parse_ply_header(data)[0]
+    try:
+        meta, _ = _pcd_header(data)
+    except MalformedHeaderError as exc:  # a line that is not ascii
+        raise MalformedHeaderError(f"unrecognized point-cloud file: {exc}") from exc
+    if "FIELDS" in meta and "DATA" in meta:
         return CloudFormat.PCD_ASCII
     raise MalformedHeaderError("unrecognized point-cloud file")
 
@@ -159,7 +164,12 @@ def _float32(values: np.ndarray) -> np.ndarray:
 # PLY
 
 
-def _parse_ply_header(data: bytes, fmt: CloudFormat):
+_PLY_LAYOUTS = {"ascii": CloudFormat.PLY_ASCII, "binary_little_endian": CloudFormat.PLY_BINARY_LE}
+
+
+def _parse_ply_header(data: bytes):
+    """The layout that the header's format line names, its elements, and the
+    offset where the body starts."""
     end = data.find(b"end_header")
     if not data.startswith(b"ply") or end < 0:
         raise MalformedHeaderError("not a ply file (missing magic or end_header)")
@@ -173,20 +183,18 @@ def _parse_ply_header(data: bytes, fmt: CloudFormat):
     except UnicodeDecodeError as exc:
         raise MalformedHeaderError("header is not ascii") from exc
 
-    declared = "ascii" if fmt is CloudFormat.PLY_ASCII else "binary_little_endian"
     elements: list[tuple[str, int, list[tuple[str, str]]]] = []
-    format_seen = False
+    layout = None
     for raw in header.splitlines()[1:]:
         line = raw.strip()
         if not line or line.startswith(("comment", "obj_info")):
             continue
         tokens = line.split()
         if tokens[0] == "format":
-            if len(tokens) < 3 or tokens[1] != declared:
-                raise MalformedHeaderError(
-                    f"file format line {line!r} does not match declared {declared}"
-                )
-            format_seen = True
+            named = _PLY_LAYOUTS.get(tokens[1]) if len(tokens) >= 3 else None
+            if named is None or layout not in (None, named):
+                raise MalformedHeaderError(f"unsupported or conflicting format line {line!r}")
+            layout = named
         elif tokens[0] == "element":
             if len(tokens) != 3 or not tokens[2].isdigit():
                 raise MalformedHeaderError(f"unreadable element line {line!r}")
@@ -204,9 +212,9 @@ def _parse_ply_header(data: bytes, fmt: CloudFormat):
             elements[-1][2].append((pname, _PLY_TYPES[ptype]))
         else:
             raise MalformedHeaderError(f"unreadable header line {line!r}")
-    if not format_seen:
+    if layout is None:
         raise MalformedHeaderError("header carries no format line")
-    return elements, body_start
+    return layout, elements, body_start
 
 
 def _vertex_layout(elements):
@@ -282,7 +290,9 @@ def _extract_columns(table, count: int, resolution: float,
 
 
 def _parse_ply(data: bytes, fmt: CloudFormat, resolution: float) -> ColoredPointCloud:
-    elements, body_start = _parse_ply_header(data, fmt)
+    layout, elements, body_start = _parse_ply_header(data)
+    if layout is not fmt:
+        raise MalformedHeaderError(f"header declares {layout.value}, not {fmt.value}")
     count, props = _vertex_layout(elements)
     has_color = all(color in dict(props) for color in _COLOR_NAMES)
 
@@ -345,8 +355,9 @@ def _write_ply_binary(cloud: ColoredPointCloud) -> bytes:
 # PCD
 
 
-def _parse_pcd(data: bytes, resolution: float) -> ColoredPointCloud:
-    # only the header is decoded; the body is split as bytes
+def _pcd_header(data: bytes) -> tuple[dict[str, list[str]], int]:
+    """The PCD header's values by upper-case key, up to and including the
+    DATA line, and the offset after it; only the header is decoded."""
     meta: dict[str, list[str]] = {}
     position = 0
     while "DATA" not in meta and position < len(data):
@@ -359,7 +370,11 @@ def _parse_pcd(data: bytes, resolution: float) -> ColoredPointCloud:
             raise MalformedHeaderError("pcd header is not ascii") from exc
         if tokens and not tokens[0].startswith("#"):
             meta[tokens[0].upper()] = tokens[1:]
+    return meta, position
 
+
+def _parse_pcd(data: bytes, resolution: float) -> ColoredPointCloud:
+    meta, position = _pcd_header(data)  # the body is split as bytes
     for key in ("FIELDS", "SIZE", "TYPE", "POINTS", "DATA"):
         if key not in meta:
             raise MalformedHeaderError(f"pcd header lacks {key}")

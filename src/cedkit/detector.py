@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import coo_array
 
-from .cloud import ColoredPointCloud
+from .cloud import ColoredPointCloud, frozen_copy
 from .cloudio import CloudFormat, format_rows, write_cloud
 from .errors import InvalidParamsError, MisalignedFieldsError, NoColorError
 from .index import _PAIR_BLOCK, NeighborGraph, build_index
@@ -115,12 +115,10 @@ class SaliencyField:
     valid: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        valid = np.asarray(self.valid, dtype=bool)
+        values = frozen_copy(self.values)
+        valid = frozen_copy(self.valid, bool)
         if values.shape != valid.shape or values.ndim != 1:
             raise MisalignedFieldsError("values and valid must be equal-length vectors")
-        values.setflags(write=False)
-        valid.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "valid", valid)
 
@@ -135,9 +133,7 @@ class KeypointSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", frozen_copy(self.indices, np.int64))
 
     def __len__(self) -> int:
         return self.indices.shape[0]
@@ -352,9 +348,7 @@ class PreparedCloud:
     local_max: np.ndarray
 
     def __post_init__(self):
-        local_max = np.asarray(self.local_max, dtype=bool)
-        local_max.setflags(write=False)
-        object.__setattr__(self, "local_max", local_max)
+        object.__setattr__(self, "local_max", frozen_copy(self.local_max, bool))
 
     @property
     def fields(self) -> list[SaliencyField]:

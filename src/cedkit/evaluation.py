@@ -17,14 +17,16 @@ copy keypoints strictly within epsilon of a moved source keypoint. So the
 copy is detected on its window, its points within epsilon + reach of those
 centers (widened by the index's candidate slack), which decides every
 keypoint matching can see as the whole copy would. An empty window scores
-0 without detection; detectors without a reach (the random baseline, user
-callables) get the whole copy. Caveat: the window's tree lists the neighbor
-pairs in another order, so a decision that rests on the last ulp of a
-centroid may go either way, as with any change of tree layout.
+0 without detection. A detector without a reach (the random baseline, user
+callables) has an infinite one, whose window is the whole copy. Caveat: the
+window's tree lists the neighbor pairs in another order, so a decision that
+rests on the last ulp of a centroid may go either way, as with any change of
+tree layout.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, replace
 from statistics import mean, median
@@ -149,12 +151,10 @@ def random_detector(count: int, seed: int) -> Detector:
     get independent selections (a fixed selection would trivially repeat),
     while the call sequence as a whole stays reproducible.
     """
-    state = {"calls": 0}
+    seeds = itertools.count(seed)
 
     def run(cloud: ColoredPointCloud) -> KeypointSet:
-        call_seed = seed + state["calls"]
-        state["calls"] += 1
-        return detect_random(cloud, count, call_seed)
+        return detect_random(cloud, count, next(seeds))
 
     return run
 
@@ -204,8 +204,12 @@ def _window(moved: ColoredPointCloud, centers: np.ndarray, distance: float) -> n
     The distance is widened by the index's candidate slack, so rounding in
     the tree's metric never drops a point that decides a match. A bounded
     nearest-center query takes about half the time of counting all centers
-    in range (a 23k-point copy, 22 to 86 centers).
+    in range (a 23k-point copy, 22 to 86 centers). An infinite distance (a
+    detector without a reach) takes every point, when there is a center,
+    without building a tree.
     """
+    if distance == np.inf:
+        return np.arange(len(moved) if len(centers) else 0)
     nearest, _ = cKDTree(centers).query(
         moved.xyz, distance_upper_bound=distance * _CANDIDATE_SLACK
     )
@@ -225,22 +229,36 @@ def _sample_transforms(config: RepeatabilityConfig) -> list[RigidTransform]:
     return [sample_rigid_transform(rng) for _ in range(config.trials)]
 
 
-def _moved_copies(
-    cloud: ColoredPointCloud,
-    transforms: Sequence[RigidTransform],
-    config: RepeatabilityConfig,
-):
-    """Yield (transform, copy) per trial, the copy built only when asked for.
+def _trials(cloud: ColoredPointCloud, sources: Sequence[KeypointSet], reach: float,
+            detect_window: Callable[[ColoredPointCloud], list[KeypointSet]],
+            config: RepeatabilityConfig, transforms: Sequence[RigidTransform]) -> list[list[float]]:
+    """Each source's share of matched keypoints per trial, one list per source.
 
-    The copy is the cloud under the trial's rigid motion plus, when sigma > 0,
-    Gaussian noise seeded with noise_seed + trial index.
+    Per trial, the copy is the cloud under the trial's rigid motion plus, when
+    sigma > 0, Gaussian noise seeded with noise_seed + trial index. It is
+    detected once, on its window: its points within epsilon + reach of every
+    source's moved keypoints. detect_window returns one KeypointSet per
+    source, in window indices, which map back through the window. An empty
+    window scores 0 without detection, and a source without keypoints
+    scores 0.
     """
-    _, sigma = config.resolve(cloud.resolution)
+    epsilon, sigma = config.resolve(cloud.resolution)
+    source_points = [cloud.xyz[keys.indices] for keys in sources]
+    every_source = cloud.xyz[np.unique(np.concatenate([keys.indices for keys in sources]))]
+    ratios: list[list[float]] = [[] for _ in sources]
     for trial, transform in enumerate(transforms):
         moved = apply_rigid_transform(cloud, transform)
         if sigma > 0:
             moved = add_gaussian_noise(moved, sigma, config.noise_seed + trial)
-        yield transform, moved
+        window = _window(moved, transform.apply(every_source), epsilon + reach)
+        if len(window):
+            found = [window[keys.indices] for keys in detect_window(_subcloud(moved, window))]
+        else:
+            found = [window] * len(sources)
+        for row, points, targets in zip(ratios, source_points, found):
+            matched = count_matches(transform.apply(points), moved.xyz[targets], epsilon)
+            row.append(matched / len(points) if len(points) else 0.0)
+    return ratios
 
 
 def evaluate_repeatability(
@@ -259,10 +277,9 @@ def evaluate_repeatability(
     only, the points within epsilon + reach of the moved source keypoints,
     and its keypoints map back through the window's indices; the ratios are
     those of whole-copy detection (module docstring). An empty window
-    scores 0. Other detectors get the whole copy.
+    scores 0. Other detectors have an infinite reach: they get the whole copy.
     """
-    epsilon, _ = config.resolve(cloud.resolution)
-    reach = getattr(detector, "reach", None)
+    reach = getattr(detector, "reach", np.inf)
 
     start = time.perf_counter()
     source_keys = detector(cloud)
@@ -271,21 +288,8 @@ def evaluate_repeatability(
     if transforms is None:
         transforms = _sample_transforms(config)
     total = len(source_keys)
-    source_points = cloud.xyz[source_keys.indices]
-
-    if total == 0:
-        ratios = [0.0] * len(transforms)
-    else:
-        ratios = []
-        for transform, moved in _moved_copies(cloud, transforms, config):
-            centers = transform.apply(source_points)
-            if reach is None:
-                window = np.arange(len(moved))
-            else:
-                window = _window(moved, centers, epsilon + reach)
-            found = window[detector(_subcloud(moved, window)).indices] if len(window) else window
-            matched = count_matches(centers, moved.xyz[found], epsilon)
-            ratios.append(matched / total)
+    [ratios] = _trials(cloud, [source_keys], reach, lambda window: [detector(window)], config,
+                       transforms)
 
     relative = mean(ratios)
     return RepeatabilityReport(
@@ -340,7 +344,6 @@ def ablation_sweep(
         raise InvalidParamsError("threshold lists must be non-empty")
     if config is None:
         config = RepeatabilityConfig(sigma=0.0)
-    epsilon, _ = config.resolve(cloud.resolution)
     grid = [
         replace(fixed_params, geo_threshold=geo, color_threshold=color)
         for geo in geo_thresholds
@@ -355,18 +358,13 @@ def ablation_sweep(
         start = time.perf_counter()
         sources.append(select(prepared, params))
         runtimes.append(prepare_time + time.perf_counter() - start)
-    source_points = [cloud.xyz[keys.indices] for keys in sources]
-    every_source = cloud.xyz[np.unique(np.concatenate([keys.indices for keys in sources]))]
 
-    ratios: list[list[float]] = [[] for _ in grid]
-    for transform, moved in _moved_copies(cloud, _sample_transforms(config), config):
-        window = _window(moved, transform.apply(every_source), epsilon + _reach(fixed_params))
-        target = prepare(_subcloud(moved, window), fixed_params) if len(window) else None
-        for row, params, points in zip(ratios, grid, source_points):
-            found = window[select(target, params).indices] if target is not None else window
-            matched = count_matches(transform.apply(points), moved.xyz[found], epsilon)
-            row.append(matched / len(points) if len(points) else 0.0)
+    def select_rows(window: ColoredPointCloud) -> list[KeypointSet]:
+        target = prepare(window, fixed_params)
+        return [select(target, params) for params in grid]
 
+    ratios = _trials(cloud, sources, _reach(fixed_params), select_rows, config,
+                     _sample_transforms(config))
     return [
         AblationRow(
             geo_threshold=params.geo_threshold,

@@ -445,6 +445,33 @@ class TestEntryPoint:
         assert code == 0
         assert capsys.readouterr().out.startswith("index,")
 
+    @pytest.mark.parametrize(
+        "fmt, edit",
+        [(CloudFormat.PCD_ASCII, lambda data: b"# a comment line\n" * 300 + data),
+         (CloudFormat.PLY_ASCII, lambda data: data.replace(
+             b"format ascii 1.0\n",
+             b"format ascii 1.0\ncomment converted from format binary_little_endian 1.0\n"))],
+        ids=["pcd-after-5kb-of-comments", "ply-comment-names-binary"],
+    )
+    def test_layout_comes_from_the_header(self, tmp_path, probe_room, capsys, fmt, edit):
+        data = write_cloud(probe_room, fmt)
+        plain, commented = tmp_path / "plain", tmp_path / "commented"
+        plain.write_bytes(data)
+        commented.write_bytes(edit(data))
+        assert commented.read_bytes() != data
+        assert main(["detect", "-i", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert expected.count("\n") > 1
+        assert main(["detect", "-i", str(commented)]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("command", ["detect", "repeat", "ablate", "bench"])
+    def test_input_format_flag_is_unknown(self, tiny_ply, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "-i", str(tiny_ply), "--format", "ply"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --format ply" in capsys.readouterr().err
+
     def test_log_verbosity_env_var(self, tmp_path):
         path = tmp_path / "p.ply"
         result = subprocess.run(

@@ -5,7 +5,11 @@ import pytest
 
 from cedkit import (
     ColoredPointCloud,
+    DetectorParams,
+    KeypointSet,
+    PreparedCloud,
     RigidTransform,
+    SaliencyField,
     add_gaussian_noise,
     apply_rigid_transform,
     sample_rigid_transform,
@@ -156,3 +160,28 @@ class TestGaussianNoise:
     def test_non_finite_sigma_rejected(self, small_cloud, sigma):
         with pytest.raises(InvalidParamsError):
             add_gaussian_noise(small_cloud, sigma, seed=0)
+
+
+def _prepared(local_max):
+    field = SaliencyField(np.ones(3), np.ones(3, dtype=bool))
+    return PreparedCloud(DetectorParams(radius=0.1), field, None, local_max)
+
+
+class TestValueTypesKeepTheirOwnCopies:
+    """Every value type stores a read-only, C-ordered copy; the caller's array stays writeable."""
+
+    @pytest.mark.parametrize("build, given, stored", [
+        (lambda a: ColoredPointCloud(a, np.zeros((2, 3))), np.ones((2, 3)), lambda v: v.xyz),
+        (lambda a: RigidTransform(np.eye(3), a), np.zeros(3), lambda v: v.translation),
+        (KeypointSet, np.array([1, 2, 3]), lambda v: v.indices),
+        (lambda a: SaliencyField(a, np.ones(3, dtype=bool)), np.ones(3), lambda v: v.values),
+        (_prepared, np.ones(3, dtype=bool), lambda v: v.local_max),
+    ], ids=["cloud", "transform", "keypoints", "saliency", "prepared"])
+    def test_callers_array_stays_writeable(self, build, given, stored):
+        before = given.copy()
+        kept = stored(build(given))
+        assert given.flags.writeable
+        assert not kept.flags.writeable and kept.flags.c_contiguous
+        assert not np.shares_memory(kept, given)
+        given[0] = 0
+        assert np.array_equal(kept, before)

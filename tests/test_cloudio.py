@@ -428,6 +428,35 @@ class TestSniff:
         with pytest.raises(MalformedHeaderError):
             sniff_format(b"not a cloud at all")
 
+    def test_pcd_after_long_comments(self, rng):
+        data = b"# padding comment\n" * 300 + write_cloud(float32_valued_cloud(rng, 10),
+                                                         CloudFormat.PCD_ASCII)
+        assert data.index(b"FIELDS") > 5000
+        assert sniff_format(data) is CloudFormat.PCD_ASCII
+
+    def test_ply_layout_from_its_format_line_not_a_comment(self):
+        data = PLY_ONE_RED.replace(
+            b"format ascii 1.0\n",
+            b"comment converted from format binary_little_endian 1.0\nformat ascii 1.0\n")
+        assert sniff_format(data) is CloudFormat.PLY_ASCII
+        assert len(parse_cloud(data, CloudFormat.PLY_ASCII)) == 1
+
+    def test_ply_format_line_after_long_comments(self, rng):
+        data = write_cloud(float32_valued_cloud(rng, 10), CloudFormat.PLY_BINARY_LE)
+        data = data.replace(b"ply\n", b"ply\n" + b"comment padding\n" * 400, 1)
+        assert sniff_format(data) is CloudFormat.PLY_BINARY_LE
+
+    @pytest.mark.parametrize("data", [
+        b"ply\nformat binary_big_endian 1.0\nelement vertex 0\nend_header\n",
+        b"ply\nformat ascii 1.0\nformat binary_little_endian 1.0\nend_header\n",
+        b"ply\nelement vertex 0\nend_header\n",
+        b"VERSION 0.7\nDATA ascii\nFIELDS x y z\n",
+        b"\xff\xd8\xff\xe0 FIELDS x y z\nDATA ascii\n",
+    ], ids=["big-endian", "conflicting", "no-format-line", "data-before-fields", "not-ascii"])
+    def test_undeclared_or_unsupported_layout_rejected(self, data):
+        with pytest.raises(MalformedHeaderError):
+            sniff_format(data)
+
 
 class TestColorRules:
     """Each format decides has_color from its own declarations."""

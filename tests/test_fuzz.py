@@ -1,8 +1,9 @@
 """Seeded mutation fuzzing of the parsers on the writers' own output.
 
-Every mutated file must either parse into a cloud or raise a CloudFormatError;
-any other exception fails, and so does any warning, which would otherwise
-reach a user's stderr next to the CLI's one-line error.
+Every mutated file must either parse into a cloud or raise a CloudFormatError,
+both as its original layout and along the CLI's path (sniff the layout, then
+parse as that); any other exception fails, and so does any warning, which
+would otherwise reach a user's stderr next to the CLI's one-line error.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cedkit import CloudFormat, ColoredPointCloud, parse_cloud, write_cloud
+from cedkit import CloudFormat, ColoredPointCloud, parse_cloud, sniff_format, write_cloud
 from cedkit.errors import CloudFormatError, MalformedHeaderError, TruncatedBodyError
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -26,11 +27,12 @@ def written(probe_room):
 
 
 def parse_or_reject(data: bytes, fmt: CloudFormat) -> None:
-    try:
-        cloud = parse_cloud(data, fmt)
-    except CloudFormatError:
-        return
-    assert isinstance(cloud, ColoredPointCloud)
+    for layout in (lambda: fmt, lambda: sniff_format(data)):
+        try:
+            cloud = parse_cloud(data, layout())
+        except CloudFormatError:
+            continue
+        assert isinstance(cloud, ColoredPointCloud)
 
 
 def truncations(data, rng):
