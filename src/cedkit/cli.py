@@ -183,11 +183,7 @@ def _repeat_config(args) -> RepeatabilityConfig:
 
 
 def _effective_seed(seed: int | None) -> int:
-    if seed is not None:
-        if seed < 0:
-            raise InvalidParamsError(f"seed must be a non-negative integer or 'random', got {seed}")
-        return seed
-    return int(np.random.SeedSequence().entropy % (2**32))
+    return seed if seed is not None else int(np.random.SeedSequence().entropy % (2**32))
 
 
 def _detector_for(args, cloud: ColoredPointCloud):

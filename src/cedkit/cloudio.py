@@ -114,7 +114,7 @@ def sniff_format(data: bytes) -> CloudFormat:
         return _parse_ply_header(data)[0]
     try:
         meta, _ = _pcd_header(data)
-    except MalformedHeaderError as exc:  # a line that is not ascii
+    except MalformedHeaderError as exc:  # a line that is not ascii or not a header line
         raise MalformedHeaderError(f"unrecognized point-cloud file: {exc}") from exc
     if "FIELDS" in meta and "DATA" in meta:
         return CloudFormat.PCD_ASCII
@@ -357,7 +357,9 @@ def _write_ply_binary(cloud: ColoredPointCloud) -> bytes:
 
 def _pcd_header(data: bytes) -> tuple[dict[str, list[str]], int]:
     """The PCD header's values by upper-case key, up to and including the
-    DATA line, and the offset after it; only the header is decoded."""
+    DATA line, and the offset after it; only the header is decoded. The walk
+    stops with MalformedHeaderError at the first line that is neither a ``#``
+    comment nor a line of a PCD v0.7 key."""
     meta: dict[str, list[str]] = {}
     position = 0
     while "DATA" not in meta and position < len(data):
@@ -365,11 +367,16 @@ def _pcd_header(data: bytes) -> tuple[dict[str, list[str]], int]:
         line = data[position:brk.start() if brk else len(data)]
         position = brk.end() if brk else len(data)
         try:
-            tokens = line.decode("ascii").split()
+            text = line.decode("ascii")
         except UnicodeDecodeError as exc:
             raise MalformedHeaderError("pcd header is not ascii") from exc
-        if tokens and not tokens[0].startswith("#"):
-            meta[tokens[0].upper()] = tokens[1:]
+        key, *values = text.split() or [""]
+        if key.startswith("#"):
+            continue
+        if key.upper() not in ("VERSION", "FIELDS", "SIZE", "TYPE", "COUNT", "WIDTH", "HEIGHT",
+                               "VIEWPOINT", "POINTS", "DATA"):
+            raise MalformedHeaderError(f"not a pcd header line: {text[:40]!r}")
+        meta[key.upper()] = values
     return meta, position
 
 

@@ -58,6 +58,7 @@ class RepeatabilityConfig:
 
     epsilon: finite match radius > 0, in meters; None means 2 x resolution.
     sigma: finite noise sigma >= 0, in meters; None means 0.5 x resolution.
+    transform_seed, noise_seed: non-negative integers.
     """
 
     epsilon: float | None = None
@@ -73,6 +74,9 @@ class RepeatabilityConfig:
             raise InvalidParamsError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.trials < 1:
             raise InvalidParamsError(f"trials must be >= 1, got {self.trials}")
+        for name in ("transform_seed", "noise_seed"):
+            if getattr(self, name) < 0:
+                raise InvalidParamsError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     def resolve(self, resolution: float) -> tuple[float, float]:
         epsilon = self.epsilon if self.epsilon is not None else DEFAULT_EPSILON_FACTOR * resolution
@@ -133,6 +137,8 @@ def detect_random(cloud: ColoredPointCloud, count: int, seed: int) -> KeypointSe
     so a fixed seed gives a bit-identical selection and every size-count
     subset is equally likely.
     """
+    if seed < 0:
+        raise InvalidParamsError(f"seed must be non-negative, got {seed}")
     n = len(cloud)
     if not 1 <= count <= n:
         raise InvalidParamsError(f"count must be in [1, {n}], got {count}")
@@ -269,9 +275,10 @@ def evaluate_repeatability(
 ) -> RepeatabilityReport:
     """Mean repeatability of a detector over random rigid motions of a cloud.
 
-    Pass `transforms` to pin the motions (e.g. the identity); otherwise
-    config.trials transforms are sampled from transform_seed. Noise uses a
-    fresh seed per trial, derived as noise_seed + trial index.
+    Pass `transforms`, at least one, to pin the motions (e.g. the
+    identity); otherwise config.trials transforms are sampled from
+    transform_seed. Noise uses a fresh seed per trial, derived as
+    noise_seed + trial index.
 
     A detector with a ``reach`` (ced_detector's) runs on each copy's window
     only, the points within epsilon + reach of the moved source keypoints,
@@ -279,14 +286,16 @@ def evaluate_repeatability(
     those of whole-copy detection (module docstring). An empty window
     scores 0. Other detectors have an infinite reach: they get the whole copy.
     """
+    if transforms is None:
+        transforms = _sample_transforms(config)
+    if len(transforms) == 0:
+        raise InvalidParamsError("transforms must hold at least one transform")
     reach = getattr(detector, "reach", np.inf)
 
     start = time.perf_counter()
     source_keys = detector(cloud)
     detect_time = time.perf_counter() - start
 
-    if transforms is None:
-        transforms = _sample_transforms(config)
     total = len(source_keys)
     [ratios] = _trials(cloud, [source_keys], reach, lambda window: [detector(window)], config,
                        transforms)

@@ -38,12 +38,12 @@ pairs per point, a slab of 32,768 points keeps that buffer at or under about
 The neighbor graph stores its pairs column-major: the (m, 2) ``pairs`` array
 is the transpose of a C-contiguous (2, m) buffer, so each column is one
 contiguous run, and the indices are int32 whenever the cloud's indices fit
-(8 bytes per pair). The candidates are rechecked block by block and the
-pairs kept are written straight into the columns, then the query's buffer
-is freed. One tree writes into a buffer sized by its candidate count. Slabs
-grow one buffer per column, reallocated for each query, and the second
-column is moved behind the first at the end, so no per-slab copy of the
-pairs is left behind.
+(8 bytes per pair). One buffer holds both columns, whether the candidates
+come from one tree or from slabs and cuts: ``pairs[:size]`` the first and
+``pairs[size:2 * size]`` the second. Each query grows ``size`` by its
+candidate count, its candidates are rechecked block by block, the pairs kept
+are written straight into the columns, and its buffer is freed before the
+next query. At the end the second column moves down behind the first.
 """
 
 from __future__ import annotations
@@ -119,62 +119,49 @@ class SpatialIndex:
         """All strict-radius neighbor pairs; the one neighborhood query."""
         if not (0 < radius < np.inf):
             raise InvalidParamsError(f"radius must be finite and > 0, got {radius}")
-        reach = radius * _CANDIDATE_SLACK
-        narrow = len(self) - 1 <= np.iinfo(np.int32).max
-        dtype = np.int32 if narrow else np.int64
+        dtype = np.int32 if len(self) - 1 <= np.iinfo(np.int32).max else np.int64
+        pairs = np.empty(0, dtype=dtype)
+        m = size = 0
+        for candidates, ids in self._candidates(radius * _CANDIDATE_SLACK):
+            # resize reallocates, and glibc remaps a large buffer rather
+            # than copying it; the new room is zeroed, then overwritten
+            last, size = size, max(size, m + len(candidates))
+            pairs.resize(2 * size, refcheck=False)
+            # numpy moves overlapping 1-d slices in place, with no temporary copy
+            pairs[size:size + m] = pairs[last:last + m]
+            # recheck block by block, writing the pairs kept straight into the columns
+            for start in range(0, len(candidates), _PAIR_BLOCK):
+                i = candidates[start:start + _PAIR_BLOCK, 0]
+                j = candidates[start:start + _PAIR_BLOCK, 1]
+                if ids is not None:
+                    i, j = ids[i], ids[j]
+                keep = self._strictly_within(i, j, radius)
+                if not keep.all():
+                    i, j = i[keep], j[keep]
+                pairs[m:m + len(i)] = i
+                pairs[size + m:size + m + len(i)] = j
+                m += len(i)
+            # free the query's buffer before the next query fills another
+            del candidates
+        pairs[m:2 * m] = pairs[size:size + m]
+        pairs.resize(2 * m, refcheck=False)
+        return NeighborGraph(len(self), pairs.reshape(2, m).T)
+
+    def _candidates(self, reach: float):
+        """Blocks (pairs, ids) of candidate pairs within reach, slab by slab.
+
+        Each (k, 2) block indexes ids, or the cloud when ids is None; mapped
+        to the cloud, every row is i < j and each pair comes out once. A
+        cloud of one slab gives one block, its tree's query_pairs.
+        """
         spans = [float(column.max()) - float(column.min()) for column in self._columns]
         axis = int(np.argmax(spans))
         n_slabs = int(min(-(-len(self) // _SLAB_POINTS), spans[axis] / (_SLAB_WIDTH * reach)))
         if n_slabs < 2:
-            candidates = _kdtree(self._xyz).query_pairs(reach, output_type="ndarray")
-            columns = np.empty((2, len(candidates)), dtype=dtype)
-            m = self._append_within(candidates, None, radius, *columns, 0)
-            del candidates
-            if m < columns.shape[1]:
-                columns = np.ascontiguousarray(columns[:, :m])
-            return NeighborGraph(len(self), columns.T)
-        first, second = np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)
-        m = 0
-        for candidates, ids in self._slab_candidates(reach, axis, n_slabs):
-            # resize reallocates, and glibc remaps a large buffer rather
-            # than copying it; the new room is zeroed, then overwritten
-            for column in (first, second):
-                column.resize(m + len(candidates), refcheck=False)
-            m = self._append_within(candidates, ids, radius, first, second, m)
-            # free the query's buffer before the next query fills another
-            del candidates
-        first.resize(2 * m, refcheck=False)
-        first[m:] = second[:m]
-        return NeighborGraph(len(self), first.reshape(2, m).T)
-
-    def _append_within(self, candidates, ids, radius, first, second, m: int) -> int:
-        """Write the candidates strictly within radius to first[m:] and second[m:].
-
-        Candidates are rechecked block by block; returns the new pair count.
-        """
-        for start in range(0, len(candidates), _PAIR_BLOCK):
-            i = candidates[start:start + _PAIR_BLOCK, 0]
-            j = candidates[start:start + _PAIR_BLOCK, 1]
-            if ids is not None:
-                i, j = ids[i], ids[j]
-            keep = self._strictly_within(i, j, radius)
-            if not keep.all():
-                i, j = i[keep], j[keep]
-            first[m:m + len(i)] = i
-            second[m:m + len(i)] = j
-            m += len(i)
-        return m
-
-    def _slab_candidates(self, reach: float, axis: int, n_slabs: int):
-        """Blocks (pairs, ids) of candidate pairs within reach, n_slabs >= 2 slabs along axis.
-
-        Each (k, 2) block indexes ids, or the cloud when ids is None; mapped
-        to the cloud, every row is i < j and each pair comes out once.
-        """
+            yield _kdtree(self._xyz).query_pairs(reach, output_type="ndarray"), None
+            return
         coords = self._columns[axis]
-        lo = float(coords.min())
-        width = (float(coords.max()) - lo) / n_slabs
-        cuts = lo + width * np.arange(1, n_slabs)
+        cuts = float(coords.min()) + spans[axis] / n_slabs * np.arange(1, n_slabs)
         # slab k holds cuts[k - 1] <= coordinate < cuts[k]
         slab = np.searchsorted(cuts, coords, side="right")
         members = [np.flatnonzero(slab == k) for k in range(n_slabs)]

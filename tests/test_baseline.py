@@ -35,6 +35,11 @@ class TestDetectRandom:
         with pytest.raises(InvalidParamsError):
             detect_random(cloud, 21, seed=0)
 
+    def test_negative_seed_rejected(self, rng):
+        cloud = random_colored_cloud(rng, 20)
+        with pytest.raises(InvalidParamsError, match="non-negative"):
+            detect_random(cloud, 5, seed=-1)
+
     def test_selection_frequencies_uniform(self, rng):
         # 1000 draws of 100 from 10k: each index is a Bernoulli(0.01) per
         # trial. With a fixed seed the realized frequencies are deterministic;

@@ -457,6 +457,47 @@ class TestSniff:
         with pytest.raises(MalformedHeaderError):
             sniff_format(data)
 
+    @pytest.mark.parametrize("read", [sniff_format,
+                                      lambda data: parse_cloud(data, CloudFormat.PCD_ASCII)],
+                             ids=["sniff", "parse"])
+    def test_header_walk_stops_at_first_line_that_is_not_a_header_line(self, monkeypatch, read):
+        lines_read = []
+        pattern = cloudio._LINE_BREAK
+
+        class CountingBreaks:
+            def search(self, data, position):
+                lines_read.append(position)
+                return pattern.search(data, position)
+
+        monkeypatch.setattr(cloudio, "_LINE_BREAK", CountingBreaks())
+        data = b"# comment\nVERSION 0.7\n" + b"v 0.1 0.2 0.3\n" * 1000
+        with pytest.raises(MalformedHeaderError) as raised:
+            read(data)
+        assert len(lines_read) == 3
+        assert "'v 0.1 0.2 0.3'" in str(raised.value)
+
+
+class TestPcdHeaderKeys:
+    @pytest.mark.parametrize("line", [b"FOO 1", b"", b"1 2 3 0"],
+                             ids=["unknown-key", "blank", "record"])
+    def test_line_before_data_that_is_not_a_header_line_rejected(self, rng, line):
+        data = write_cloud(float32_valued_cloud(rng, 3), CloudFormat.PCD_ASCII)
+        data = data.replace(b"POINTS", line + b"\nPOINTS", 1)
+        with pytest.raises(MalformedHeaderError, match="not a pcd header line"):
+            parse_cloud(data, CloudFormat.PCD_ASCII)
+        with pytest.raises(MalformedHeaderError, match="unrecognized point-cloud file"):
+            sniff_format(data)
+
+    def test_lower_case_keys_and_comments_accepted(self, rng):
+        cloud = float32_valued_cloud(rng, 3)
+        data = write_cloud(cloud, CloudFormat.PCD_ASCII)
+        data = b"# a comment\n" + data.replace(b"VERSION", b"version").replace(
+            b"DATA ascii\n", b"#another\nData ascii\n")
+        assert sniff_format(data) is CloudFormat.PCD_ASCII
+        parsed = parse_cloud(data, CloudFormat.PCD_ASCII)
+        assert np.array_equal(parsed.xyz, cloud.xyz)
+        assert np.array_equal(parsed.rgb, cloud.rgb)
+
 
 class TestColorRules:
     """Each format decides has_color from its own declarations."""

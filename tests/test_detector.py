@@ -45,7 +45,7 @@ from oracles import (
     random_colored_cloud,
     saliency_brute_force,
 )
-from cedkit import detector
+from cedkit import detector, index
 from cedkit.detector import KeypointSet, saliency_from_graph
 
 # Apex saliency of the 0.2 m box corner at pitch 0.01 m, radius 0.05 m,
@@ -251,12 +251,24 @@ class TestGraphLayout:
                      jitter=0.35, seed=5)
 
     @pytest.mark.parametrize("radius", [0.04, 0.05])
-    def test_column_major_int32_pairs(self, radius):
+    def test_column_major_int32_pairs(self, radius, monkeypatch):
         room = generate_scene(self.ROOM)
         # the lattice has pairs at exactly the radius, which the recheck drops
         lattice = ColoredPointCloud(*exact_pitch_plane(pitch=0.01))
-        for cloud in (room, lattice):
+        trees = []
+        build = index._kdtree
+
+        def recording(xyz):
+            trees.append(len(xyz))
+            return build(xyz)
+
+        monkeypatch.setattr(index, "_kdtree", recording)
+        for cloud, sliced in ((room, False), (lattice, False), (room, True)):
+            if sliced:  # trees over slabs and bands, none over the whole room
+                monkeypatch.setattr(index, "_SLAB_POINTS", 1024)
+            del trees[:]
             pairs = build_index(cloud).neighbor_graph(radius).pairs
+            assert max(trees) < len(cloud) if sliced else trees == [len(cloud)]
             m = pairs.shape[0]
             assert m > 0 and pairs.shape == (m, 2)
             assert np.all(pairs[:, 0] < pairs[:, 1])

@@ -52,6 +52,9 @@ class TestRepeatabilityConfig:
             RepeatabilityConfig(sigma=-1.0)
         with pytest.raises(InvalidParamsError):
             RepeatabilityConfig(trials=0)
+        for seed in ("transform_seed", "noise_seed"):
+            with pytest.raises(InvalidParamsError, match="non-negative"):
+                RepeatabilityConfig(**{seed: -1})
 
     @pytest.mark.parametrize("field", ["epsilon", "sigma"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -90,6 +93,12 @@ class TestEvaluateRepeatability:
         )
         assert report.relative_repeatability == 0.0
         assert report.total_keypoints == 1
+
+    def test_no_transforms_rejected(self, rng):
+        cloud = random_colored_cloud(rng, 100)
+        with pytest.raises(InvalidParamsError, match="at least one transform"):
+            evaluate_repeatability(cloud, ced_detector(DetectorParams(radius=0.25)),
+                                   RepeatabilityConfig(sigma=0.0), transforms=[])
 
     def test_empty_source_flagged(self, rng):
         cloud = random_colored_cloud(rng, 100)

@@ -116,6 +116,22 @@ class TestNeighborGraph:
         order = np.lexsort((graph.pairs[:, 1], graph.pairs[:, 0]))
         assert np.array_equal(graph.pairs[order], scan_pairs(xyz, 0.2))
 
+    @pytest.mark.parametrize("layout", ["uniform", "lattice"])
+    def test_one_slab_pairs_in_query_order(self, rng, layout):
+        # saliency sums each neighborhood in pair order, so this order fixes
+        # the last ulp of the color field: one tree's query order, row for row
+        if layout == "uniform":
+            xyz, radius = rng.uniform(0, 1, size=(2_000, 3)), 0.2
+        else:  # ties at exactly the radius, which the strict filter drops
+            side = np.arange(12) * 0.0625
+            xyz, radius = np.stack(np.meshgrid(side, side, side), axis=-1).reshape(-1, 3), 0.125
+        graph = build_index(cloud_of(xyz)).neighbor_graph(radius)
+        candidates = index._kdtree(xyz).query_pairs(radius * index._CANDIDATE_SLACK,
+                                                    output_type="ndarray")
+        d2 = ((xyz[candidates[:, 0]] - xyz[candidates[:, 1]]) ** 2).sum(axis=1)
+        assert np.array_equal(graph.pairs, candidates[d2 < radius * radius])
+        assert layout == "uniform" or len(graph.pairs) < len(candidates)
+
     def test_grid_tie_handling_matches_scan(self):
         # lattice distances land exactly on the radius; strict rule must agree
         side = np.arange(9) * 0.01
