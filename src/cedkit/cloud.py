@@ -33,6 +33,12 @@ def require_finite(values: np.ndarray, what: str) -> None:
         )
 
 
+def require_seed(value, name: str) -> None:
+    """Raise InvalidParamsError unless value is a non-negative int or numpy integer."""
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise InvalidParamsError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def frozen_copy(values, dtype=np.float64) -> np.ndarray:
     """A read-only, C-ordered copy of values as dtype; the caller's array stays writeable."""
     arr = np.array(values, dtype=dtype, copy=True, order="C")
@@ -132,8 +138,10 @@ def add_gaussian_noise(cloud: ColoredPointCloud, sigma: float, seed: int) -> Col
 
     Draws come from a PCG64 generator seeded per call, so a fixed seed gives
     a bit-identical result. Colors are never touched; sigma = 0 returns the
-    cloud unchanged.
+    cloud unchanged. The seed is a non-negative integer (InvalidParamsError
+    otherwise).
     """
+    require_seed(seed, "seed")
     if not (0 <= sigma < np.inf):
         raise InvalidParamsError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:

@@ -12,13 +12,16 @@ Supported layouts:
   packed-float encoding (three color bytes stored in the low 24 bits of a
   float32 bit pattern).
 
-Files store 32-bit coordinates, so parsing snaps every float-typed value to
-float32 before widening to the internal float64 representation, and writing
-quantizes the same way. As a result write-then-parse is the identity on any
-cloud whose values came from a file (or are otherwise float32-representable),
-bit-exactly for the binary layout and through a 9-significant-digit decimal
-for the ASCII layouts. Colors are quantized to 8 bits with round(channel*255)
-on write and mapped back as byte/255 on parse.
+Every writer stores the same record per point: x, y, z as float32 and, when
+the cloud has color, red, green and blue bytes of round(channel*255).
+Parsing snaps every float-typed value to float32 before widening to the
+internal float64 representation, and maps a color byte back as byte/255. As
+a result write-then-parse is the identity on any cloud whose values came
+from a file (or are otherwise float32-representable), bit-exactly for the
+binary layout and through a 9-significant-digit decimal for the ASCII
+layouts. A finite coordinate beyond float32's range has no file form, so
+writing it raises InvalidParamsError. Files carry no sampling pitch, so a
+parsed cloud has resolution 0.01.
 
 Mesh faces, big-endian PLY, and organized (image-grid) clouds are out of
 scope; trailing elements after the vertex data are ignored.
@@ -35,6 +38,7 @@ from .cloud import ColoredPointCloud, require_finite
 from .errors import (
     CloudFormatError,
     EmptyCloudError,
+    InvalidParamsError,
     MalformedHeaderError,
     TruncatedBodyError,
     UnsupportedPropertyError,
@@ -57,23 +61,24 @@ _PLY_TYPES = {
     "uint8": "u1",
 }
 
+_AXES = ("x", "y", "z")
 _COLOR_NAMES = ("red", "green", "blue")
 
 _LINE_BREAK = re.compile(rb"\r\n?|\n")
 
 
-def parse_cloud(data: bytes, fmt: CloudFormat, resolution: float = 0.01) -> ColoredPointCloud:
+def parse_cloud(data: bytes, fmt: CloudFormat) -> ColoredPointCloud:
     """Parse file bytes of the declared format into a cloud.
 
     Args:
         data: complete file contents.
         fmt: declared layout; a header that contradicts it is rejected.
-        resolution: sampling pitch recorded on the result (files carry none).
 
     Returns:
-        A cloud with one point per vertex record, in file order. has_color is set
-        iff the file declares colors (PLY: red, green and blue; PCD: rgb);
-        otherwise colors default to 0.
+        A cloud with one point per vertex record, in file order, and the
+        default resolution 0.01 (files carry none). has_color is set iff the
+        file declares colors (PLY: red, green and blue; PCD: rgb); otherwise
+        colors default to 0.
 
     Raises:
         MalformedHeaderError: unreadable or contradictory declarations.
@@ -83,20 +88,22 @@ def parse_cloud(data: bytes, fmt: CloudFormat, resolution: float = 0.01) -> Colo
             cloud's constructor checks; PCD checks its packed rgb float).
     """
     if fmt in (CloudFormat.PLY_ASCII, CloudFormat.PLY_BINARY_LE):
-        return _parse_ply(data, fmt, resolution)
+        return _parse_ply(data, fmt)
     if fmt is CloudFormat.PCD_ASCII:
-        return _parse_pcd(data, resolution)
+        return _parse_pcd(data)
     raise ValueError(f"unknown format {fmt!r}")
 
 
 def write_cloud(cloud: ColoredPointCloud, fmt: CloudFormat) -> bytes:
-    """Serialize a non-empty cloud; parse_cloud(write_cloud(c, f), f) round-trips."""
+    """Serialize a non-empty cloud; parse_cloud(write_cloud(c, f), f) round-trips.
+
+    Raises EmptyCloudError for an empty cloud and InvalidParamsError for a
+    coordinate that overflows float32.
+    """
     if len(cloud) == 0:
         raise EmptyCloudError("refusing to write an empty cloud")
-    if fmt is CloudFormat.PLY_ASCII:
-        return _write_ply_ascii(cloud)
-    if fmt is CloudFormat.PLY_BINARY_LE:
-        return _write_ply_binary(cloud)
+    if fmt in (CloudFormat.PLY_ASCII, CloudFormat.PLY_BINARY_LE):
+        return _write_ply(cloud, fmt)
     if fmt is CloudFormat.PCD_ASCII:
         return _write_pcd(cloud)
     raise ValueError(f"unknown format {fmt!r}")
@@ -121,9 +128,30 @@ def sniff_format(data: bytes) -> CloudFormat:
     raise MalformedHeaderError("unrecognized point-cloud file")
 
 
-def _quantize_colors(rgb: np.ndarray) -> np.ndarray:
-    # a cloud's colors lie in [0, 1], so every byte lies in 0..255
-    return np.rint(rgb * 255.0).astype(np.uint8)
+def _records(cloud: ColoredPointCloud) -> np.ndarray:
+    """The cloud as every writer stores it: one record per point with fields
+    x, y, z ("<f4") and, when the cloud has color, red, green, blue ("u1").
+
+    Raises InvalidParamsError when a coordinate overflows float32, naming
+    the first point that does.
+    """
+    try:
+        with np.errstate(over="raise"):
+            xyz = cloud.xyz.T.astype("<f4", order="C")
+    except FloatingPointError:
+        # a cloud's coordinates are finite, so only an overflow is infinite here
+        with np.errstate(over="ignore"):
+            rows = np.nonzero(np.isinf(cloud.xyz.astype(np.float32)).any(axis=1))[0]
+        raise InvalidParamsError(f"coordinates of {len(rows)} point(s) overflow float32 and"
+                                 f" cannot be written, first at point {rows[0]}") from None
+    columns = dict(zip(_AXES, xyz))
+    if cloud.has_color:
+        # a cloud's colors lie in [0, 1], so every byte lies in 0..255
+        columns.update(zip(_COLOR_NAMES, np.rint(cloud.rgb * 255.0).astype(np.uint8).T))
+    records = np.empty(len(cloud), [(name, column.dtype) for name, column in columns.items()])
+    for name, column in columns.items():
+        records[name] = column
+    return records
 
 
 # Rows per `%` operation, so a block's Python values stay bounded. Writing
@@ -153,11 +181,6 @@ def format_rows(columns: list[np.ndarray], line: str) -> str:
             values[offset::width] = column[start:stop].tolist()
         blocks.append(line * (stop - start) % tuple(values))
     return "".join(blocks)
-
-
-def _float32(values: np.ndarray) -> np.ndarray:
-    """values rounded to float32 and widened back, as the files store them."""
-    return values.astype(np.float32).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +253,7 @@ def _vertex_layout(elements):
             for pname, code in props:
                 if pname in _COLOR_NAMES and code != "u1":
                     raise UnsupportedPropertyError(f"color property {pname!r} must be uchar")
-            for axis in ("x", "y", "z"):
+            for axis in _AXES:
                 if axis not in names:
                     raise MalformedHeaderError(f"vertex element lacks property {axis!r}")
                 if dict(props)[axis] == "u1":
@@ -269,27 +292,27 @@ def _read_ascii_records(tokens: list, count: int, columns) -> dict[str, np.ndarr
     table = {}
     for column, (name, code) in enumerate(columns):
         col = values[:, column]
-        table[name] = _float32(col) if code == "<f4" else col
+        # "<f4" values are rounded to float32 and widened back, as the files store them
+        table[name] = col.astype(np.float32).astype(np.float64) if code == "<f4" else col
     return table
 
 
-def _extract_columns(table, count: int, resolution: float,
-                     has_color: bool) -> ColoredPointCloud:
+def _extract_columns(table, count: int, has_color: bool) -> ColoredPointCloud:
     """The cloud from columns x, y, z and, when has_color, red, green and blue
     bytes (0-255), read by name from a dict of arrays or a structured array;
     each column is widened to float64 exactly as it is copied."""
     xyz = np.empty((count, 3))
-    for axis, name in enumerate(("x", "y", "z")):
+    for axis, name in enumerate(_AXES):
         xyz[:, axis] = table[name]
     rgb = np.zeros((count, 3))
     if has_color:
         for channel, name in enumerate(_COLOR_NAMES):
             rgb[:, channel] = table[name]
         rgb /= 255.0
-    return ColoredPointCloud(xyz, rgb, resolution, has_color)
+    return ColoredPointCloud(xyz, rgb, has_color=has_color)
 
 
-def _parse_ply(data: bytes, fmt: CloudFormat, resolution: float) -> ColoredPointCloud:
+def _parse_ply(data: bytes, fmt: CloudFormat) -> ColoredPointCloud:
     layout, elements, body_start = _parse_ply_header(data)
     if layout is not fmt:
         raise MalformedHeaderError(f"header declares {layout.value}, not {fmt.value}")
@@ -306,49 +329,26 @@ def _parse_ply(data: bytes, fmt: CloudFormat, resolution: float) -> ColoredPoint
         records = np.frombuffer(body, dtype=dtype, count=count)
         # widening a signalling NaN warns; the cloud's finite check decides
         with np.errstate(invalid="ignore"):
-            return _extract_columns(records, count, resolution, has_color)
+            return _extract_columns(records, count, has_color)
 
     table = _read_ascii_records(data[body_start:].split(), count, props)
-    return _extract_columns(table, count, resolution, has_color)
+    return _extract_columns(table, count, has_color)
 
 
-def _ply_header(cloud: ColoredPointCloud, format_line: str) -> list[str]:
-    lines = [
-        "ply",
-        format_line,
-        f"element vertex {len(cloud)}",
-        "property float x",
-        "property float y",
-        "property float z",
-    ]
-    if cloud.has_color:
-        lines += ["property uchar red", "property uchar green", "property uchar blue"]
-    lines.append("end_header")
-    return lines
-
-
-def _write_ply_ascii(cloud: ColoredPointCloud) -> bytes:
-    header = "\n".join(_ply_header(cloud, "format ascii 1.0")) + "\n"
-    columns, line = [*_float32(cloud.xyz).T], "%.9g %.9g %.9g\n"
-    if cloud.has_color:
-        columns += [*_quantize_colors(cloud.rgb).T]
-        line = "%.9g %.9g %.9g %d %d %d\n"
-    return (header + format_rows(columns, line)).encode("ascii")
-
-
-def _write_ply_binary(cloud: ColoredPointCloud) -> bytes:
-    header = "\n".join(_ply_header(cloud, "format binary_little_endian 1.0")) + "\n"
-    fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
-    if cloud.has_color:
-        fields += [(c, "u1") for c in _COLOR_NAMES]
-    records = np.empty(len(cloud), dtype=np.dtype(fields))
-    for axis, name in enumerate(("x", "y", "z")):
-        records[name] = cloud.xyz[:, axis].astype(np.float32)
-    if cloud.has_color:
-        bytes_rgb = _quantize_colors(cloud.rgb)
-        for channel, name in enumerate(_COLOR_NAMES):
-            records[name] = bytes_rgb[:, channel]
-    return header.encode("ascii") + records.tobytes()
+def _write_ply(cloud: ColoredPointCloud, fmt: CloudFormat) -> bytes:
+    """The PLY file of fmt's layout: one property line per record field, then
+    the records' bytes (binary) or their fields as text (ASCII)."""
+    records = _records(cloud)
+    names = records.dtype.names
+    binary = fmt is CloudFormat.PLY_BINARY_LE
+    lines = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
+             f"element vertex {len(records)}"]
+    lines += [f"property {'float' if name in _AXES else 'uchar'} {name}" for name in names]
+    header = ("\n".join(lines) + "\nend_header\n").encode("ascii")
+    if binary:
+        return header + records.tobytes()
+    line = " ".join("%.9g" if name in _AXES else "%d" for name in names) + "\n"
+    return header + format_rows([records[name] for name in names], line).encode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,7 @@ def _pcd_header(data: bytes) -> tuple[dict[str, list[str]], int]:
     return meta, position
 
 
-def _parse_pcd(data: bytes, resolution: float) -> ColoredPointCloud:
+def _parse_pcd(data: bytes) -> ColoredPointCloud:
     meta, position = _pcd_header(data)  # the body is split as bytes
     for key in ("FIELDS", "SIZE", "TYPE", "POINTS", "DATA"):
         if key not in meta:
@@ -411,7 +411,7 @@ def _parse_pcd(data: bytes, resolution: float) -> ColoredPointCloud:
             raise MalformedHeaderError("unreadable WIDTH/HEIGHT") from exc
 
     layout = dict(zip(fields, zip(types, sizes)))
-    for axis in ("x", "y", "z"):
+    for axis in _AXES:
         if axis not in layout:
             raise MalformedHeaderError(f"pcd header lacks field {axis!r}")
         if layout[axis][0] != "F" or layout[axis][1] not in ("4", "8"):
@@ -429,31 +429,29 @@ def _parse_pcd(data: bytes, resolution: float) -> ColoredPointCloud:
         packed = table["rgb"].astype(np.float32).view(np.uint32)
         for shift, name in zip((16, 8, 0), _COLOR_NAMES):
             table[name] = ((packed >> shift) & 0xFF).astype(np.float64)
-    return _extract_columns(table, n_points, resolution, has_color)
+    return _extract_columns(table, n_points, has_color)
 
 
 def _write_pcd(cloud: ColoredPointCloud) -> bytes:
-    fields = "x y z rgb" if cloud.has_color else "x y z"
-    n_fields = 4 if cloud.has_color else 3
-    n = len(cloud)
-    lines = [
+    records = _records(cloud)
+    columns = [records[axis] for axis in _AXES]
+    if cloud.has_color:
+        # the packed float: red, green and blue bytes in the low 24 bits
+        red, green, blue = (records[name].astype(np.uint32) for name in _COLOR_NAMES)
+        columns.append(((red << 16) | (green << 8) | blue).view(np.float32))
+    fields = [*_AXES, "rgb"][:len(columns)]
+    header = "\n".join([
         "# .PCD v0.7 - Point Cloud Data file format",
         "VERSION 0.7",
-        f"FIELDS {fields}",
-        "SIZE " + " ".join(["4"] * n_fields),
-        "TYPE " + " ".join(["F"] * n_fields),
-        "COUNT " + " ".join(["1"] * n_fields),
-        f"WIDTH {n}",
+        "FIELDS " + " ".join(fields),
+        "SIZE " + " ".join(["4"] * len(fields)),
+        "TYPE " + " ".join(["F"] * len(fields)),
+        "COUNT " + " ".join(["1"] * len(fields)),
+        f"WIDTH {len(records)}",
         "HEIGHT 1",
         "VIEWPOINT 0 0 0 1 0 0 0",
-        f"POINTS {n}",
-        "DATA ascii",
-    ]
-    columns = [*_float32(cloud.xyz).T]
-    if cloud.has_color:
-        bytes_rgb = _quantize_colors(cloud.rgb).astype(np.uint32)
-        packed = (bytes_rgb[:, 0] << 16) | (bytes_rgb[:, 1] << 8) | bytes_rgb[:, 2]
-        columns.append(_float32(packed.view(np.float32)))
-    header = "\n".join(lines) + "\n"
-    body = format_rows(columns, " ".join(["%.9g"] * n_fields) + "\n")
+        f"POINTS {len(records)}",
+        "DATA ascii\n",
+    ])
+    body = format_rows(columns, " ".join(["%.9g"] * len(fields)) + "\n")
     return (header + body).encode("ascii")

@@ -40,6 +40,7 @@ from .cloud import (
     RigidTransform,
     add_gaussian_noise,
     apply_rigid_transform,
+    require_seed,
 )
 from .detector import DetectorParams, KeypointSet, detect, prepare, select
 from .errors import InvalidParamsError
@@ -75,8 +76,7 @@ class RepeatabilityConfig:
         if self.trials < 1:
             raise InvalidParamsError(f"trials must be >= 1, got {self.trials}")
         for name in ("transform_seed", "noise_seed"):
-            if getattr(self, name) < 0:
-                raise InvalidParamsError(f"{name} must be non-negative, got {getattr(self, name)}")
+            require_seed(getattr(self, name), name)
 
     def resolve(self, resolution: float) -> tuple[float, float]:
         epsilon = self.epsilon if self.epsilon is not None else DEFAULT_EPSILON_FACTOR * resolution
@@ -137,8 +137,7 @@ def detect_random(cloud: ColoredPointCloud, count: int, seed: int) -> KeypointSe
     so a fixed seed gives a bit-identical selection and every size-count
     subset is equally likely.
     """
-    if seed < 0:
-        raise InvalidParamsError(f"seed must be non-negative, got {seed}")
+    require_seed(seed, "seed")
     n = len(cloud)
     if not 1 <= count <= n:
         raise InvalidParamsError(f"count must be in [1, {n}], got {count}")

@@ -37,8 +37,10 @@ class TestDetectRandom:
 
     def test_negative_seed_rejected(self, rng):
         cloud = random_colored_cloud(rng, 20)
-        with pytest.raises(InvalidParamsError, match="non-negative"):
-            detect_random(cloud, 5, seed=-1)
+        for seed in (-1, 1.5, 2.0, "3", None):
+            with pytest.raises(InvalidParamsError, match="non-negative"):
+                detect_random(cloud, 5, seed=seed)
+        assert len(detect_random(cloud, 5, seed=np.int64(3))) == 5
 
     def test_selection_frequencies_uniform(self, rng):
         # 1000 draws of 100 from 10k: each index is a Bernoulli(0.01) per

@@ -115,6 +115,16 @@ class TestSynth:
         assert line.startswith("cedkit: parameter error: scene would have")
         assert not out.exists()
 
+    def test_scene_beyond_float32_exits_2_with_one_line(self, tmp_path, capsys):
+        # finite in float64, but coordinates past 3.4e38 have no float32 value
+        out = tmp_path / "big.ply"
+        argv = ["synth", "--kind", "plane", "--extent", "1e39", "--pitch", "1e38", "-o", str(out)]
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("cedkit: parameter error: coordinates of")
+        assert "overflow float32" in line
+        assert not out.exists()
+
 
 class TestDetect:
     def test_csv_to_stdout_matches_library(self, plane_ply, capsys):

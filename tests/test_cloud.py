@@ -161,6 +161,13 @@ class TestGaussianNoise:
         with pytest.raises(InvalidParamsError):
             add_gaussian_noise(small_cloud, sigma, seed=0)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_seed_must_be_a_non_negative_integer(self, small_cloud, sigma):
+        for seed in (-1, 1.5, 2.0, "3", None):
+            with pytest.raises(InvalidParamsError, match="non-negative integer"):
+                add_gaussian_noise(small_cloud, sigma, seed)
+        add_gaussian_noise(small_cloud, sigma, np.int64(3))
+
 
 def _prepared(local_max):
     field = SaliencyField(np.ones(3), np.ones(3, dtype=bool))

@@ -12,6 +12,7 @@ from cedkit.errors import (
     EmptyCloudError,
     CedkitError,
     CloudFormatError,
+    InvalidParamsError,
     MalformedHeaderError,
     NonFiniteValueError,
     TruncatedBodyError,
@@ -200,6 +201,17 @@ class TestWriteAndRoundTrip:
         with pytest.raises(EmptyCloudError):
             write_cloud(cloud, CloudFormat.PLY_ASCII)
 
+    @pytest.mark.parametrize("fmt", list(CloudFormat))
+    @pytest.mark.parametrize("has_color", [True, False])
+    def test_coordinates_beyond_float32_rejected(self, fmt, has_color):
+        # finite float64 values that round past float32's largest value; the
+        # largest value itself (point 2) is written as it is
+        largest = float(np.finfo(np.float32).max)
+        xyz = [[0, 0, 0], [0, 1e39, 0], [largest, -largest, 0], [-4e38, 0, 0]]
+        cloud = ColoredPointCloud(xyz, np.full((4, 3), 0.5), has_color=has_color)
+        with pytest.raises(InvalidParamsError, match=r"2 point\(s\) overflow float32.*first at point 1"):
+            write_cloud(cloud, fmt)
+
 
 def per_value_body(cloud, fmt):
     """The ASCII records formatted one value at a time: float32, then '%.9g'."""
@@ -264,10 +276,13 @@ class TestAsciiRecords:
 
 class TestWrittenBytes:
     def test_probe_room_files_match_pinned_digests(self, probe_room):
-        pinned = json.loads((DATA_DIR / "probe_room_sha256.json").read_text())["sha256"]
-        digests = {fmt.value: hashlib.sha256(write_cloud(probe_room, fmt)).hexdigest()
-                   for fmt in CloudFormat}
-        assert digests == pinned
+        pinned = json.loads((DATA_DIR / "probe_room_sha256.json").read_text())
+        colorless = ColoredPointCloud(probe_room.xyz, np.zeros_like(probe_room.rgb),
+                                      has_color=False)
+        for cloud, key in ((probe_room, "sha256"), (colorless, "sha256_colorless")):
+            digests = {fmt.value: hashlib.sha256(write_cloud(cloud, fmt)).hexdigest()
+                       for fmt in CloudFormat}
+            assert digests == pinned[key], key
 
 
 class TestPcdParse:

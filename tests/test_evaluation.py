@@ -53,8 +53,10 @@ class TestRepeatabilityConfig:
         with pytest.raises(InvalidParamsError):
             RepeatabilityConfig(trials=0)
         for seed in ("transform_seed", "noise_seed"):
-            with pytest.raises(InvalidParamsError, match="non-negative"):
-                RepeatabilityConfig(**{seed: -1})
+            for value in (-1, 1.5, 2.0, "3", None):
+                with pytest.raises(InvalidParamsError, match="non-negative integer"):
+                    RepeatabilityConfig(**{seed: value})
+            RepeatabilityConfig(**{seed: np.int64(3)})
 
     @pytest.mark.parametrize("field", ["epsilon", "sigma"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
