@@ -33,10 +33,11 @@ def require_finite(values: np.ndarray, what: str) -> None:
         )
 
 
-def require_seed(value, name: str) -> None:
-    """Raise InvalidParamsError unless value is a non-negative int or numpy integer."""
-    if not isinstance(value, (int, np.integer)) or value < 0:
-        raise InvalidParamsError(f"{name} must be a non-negative integer, got {value!r}")
+def require_integer(value, name: str, least: int = 0) -> None:
+    """Raise InvalidParamsError unless value is an int or numpy integer >= least."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise InvalidParamsError(f"{name} must be {kind}, got {value!r}")
 
 
 def frozen_copy(values, dtype=np.float64) -> np.ndarray:
@@ -141,7 +142,7 @@ def add_gaussian_noise(cloud: ColoredPointCloud, sigma: float, seed: int) -> Col
     cloud unchanged. The seed is a non-negative integer (InvalidParamsError
     otherwise).
     """
-    require_seed(seed, "seed")
+    require_integer(seed, "seed")
     if not (0 <= sigma < np.inf):
         raise InvalidParamsError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:

@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import coo_array
 
-from .cloud import ColoredPointCloud, frozen_copy
+from .cloud import ColoredPointCloud, frozen_copy, require_integer
 from .cloudio import CloudFormat, format_rows, write_cloud
 from .errors import InvalidParamsError, MisalignedFieldsError, NoColorError
 from .index import _PAIR_BLOCK, NeighborGraph, build_index
@@ -73,7 +73,7 @@ class DetectorParams:
     geo_threshold: in [0, 1], compared against saliency / radius.
     color_threshold: in [0, 3], compared against the raw L1 color saliency.
     mode: CED (geometry and color) or CED_3D (geometry only).
-    min_neighbors: minimum neighborhood size for a point to be valid.
+    min_neighbors: least neighborhood size of a valid point, an integer >= 1.
     """
 
     radius: float
@@ -95,10 +95,7 @@ class DetectorParams:
             )
         if not isinstance(self.mode, DetectorMode):
             raise InvalidParamsError(f"mode must be a DetectorMode, got {self.mode!r}")
-        if self.min_neighbors < 1:
-            raise InvalidParamsError(
-                f"min_neighbors must be >= 1, got {self.min_neighbors}"
-            )
+        require_integer(self.min_neighbors, "min_neighbors", 1)
 
     @classmethod
     def for_cloud(cls, cloud: ColoredPointCloud, **overrides) -> "DetectorParams":
@@ -357,16 +354,26 @@ class PreparedCloud:
         return [self.geometric, self.photometric]
 
 
-def prepare(cloud: ColoredPointCloud, params: DetectorParams) -> PreparedCloud:
+def prepare(
+    cloud: ColoredPointCloud, params: DetectorParams, core: np.ndarray | None = None
+) -> PreparedCloud:
     """Everything detection computes before the thresholds apply.
 
     Builds the index, the neighbor graph and the saliency fields, then the
     local-maximum mask; geo_threshold and color_threshold are not read.
     Raises NoColorError for CED mode on a colorless cloud before any work.
+
+    core, a per-point mask (None for every point), restricts the graph to
+    the pairs with an end in it (SpatialIndex.neighbor_graph). A core
+    point's neighborhood, and so its validity and saliencies, stays whole;
+    a point outside it gets partial sums, like a point at the edge of a
+    cropped cloud, and is never selected. So the decision on a point is the
+    one made without a core when the point and all its neighbors lie in the
+    core; the decisions on other core points should not be read.
     """
     if params.mode is DetectorMode.CED and not cloud.has_color:
         raise NoColorError("CED mode needs a colored cloud; use CED_3D instead")
-    graph = build_index(cloud).neighbor_graph(params.radius)
+    graph = build_index(cloud).neighbor_graph(params.radius, core)
     geo, photo = saliency_from_graph(cloud, graph, params)
     if photo is not None and photo.valid.any() and not photo.values[photo.valid].any():
         logger.warning(
@@ -374,7 +381,10 @@ def prepare(cloud: ColoredPointCloud, params: DetectorParams) -> PreparedCloud:
             "product 0. CED_3D mode is probably what you want for this cloud."
         )
     fields = [geo] if photo is None else [geo, photo]
-    return PreparedCloud(params, geo, photo, local_maxima(fields, graph))
+    local_max = local_maxima(fields, graph)
+    if core is not None:
+        local_max &= np.asarray(core, dtype=bool)
+    return PreparedCloud(params, geo, photo, local_max)
 
 
 def select(prepared: PreparedCloud, params: DetectorParams) -> KeypointSet:

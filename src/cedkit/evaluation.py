@@ -9,19 +9,28 @@ one-directional; several source keypoints may share one match.
 A "detector" here is any deterministic callable from a cloud to a
 KeypointSet; factories for the bundled detectors are provided below.
 
-Copies are detected only where matching looks. The CED decision on a point
-reads only points within 2r of it, its reach: its validity and saliencies
-come from its own r-neighborhood, its suppression from its neighbors'
-products, each from that neighbor's r-neighborhood. Matching reads only
-copy keypoints strictly within epsilon of a moved source keypoint. So the
-copy is detected on its window, its points within epsilon + reach of those
-centers (widened by the index's candidate slack), which decides every
-keypoint matching can see as the whole copy would. An empty window scores
-0 without detection. A detector without a reach (the random baseline, user
-callables) has an infinite one, whose window is the whole copy. Caveat: the
-window's tree lists the neighbor pairs in another order, so a decision that
-rests on the last ulp of a centroid may go either way, as with any change of
-tree layout.
+Copies are detected only where matching looks. Matching reads only copy
+keypoints strictly within epsilon of a moved source keypoint, a center. The
+CED decision on such a point reads the products of its neighbors, points
+within epsilon + r of a center, and each product reads that neighbor's own
+r-neighborhood, points within epsilon + 2r. So each copy is prepared on its
+window, its points within epsilon + 2r of a center, and its neighbor graph
+keeps only the pairs with an end in the core, the points within epsilon + r
+(detector.prepare). Both radii are widened by the index's candidate slack.
+Every keypoint that matching can see is then decided as on the whole copy;
+points outside the core get partial sums and are never selected, and no
+decision that matching reads depends on them. An empty window scores 0 without detection. A
+detector without params (the random baseline, user callables) gets the
+whole copy. Caveat: the window's trees list the neighbor pairs in another
+order, so a decision that rests on the last ulp of a centroid may go either
+way, as with any change of tree layout.
+
+Window and core are found from the source frame. A rigid motion keeps each
+point's distance to the nearest source keypoint, and noise moves a point by
+its own shift, so in the copy that distance lies within the source frame's
+plus or minus the shift, up to rounding. A point whose interval lies wholly
+inside or outside a radius is settled; only the others are queried against
+the centers, so both sets equal the query's over every point.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from .cloud import (
     RigidTransform,
     add_gaussian_noise,
     apply_rigid_transform,
-    require_seed,
+    require_integer,
 )
 from .detector import DetectorParams, KeypointSet, detect, prepare, select
 from .errors import InvalidParamsError
@@ -51,6 +60,10 @@ Detector = Callable[[ColoredPointCloud], KeypointSet]
 DEFAULT_EPSILON_FACTOR = 2.0  # of cloud resolution
 DEFAULT_SIGMA_FACTOR = 0.5  # of cloud resolution
 DEFAULT_TRIALS = 10
+# Rounding margin of a window's settled points, relative to the coordinates'
+# magnitude: far above the few ulps that the motion, the noise and the
+# distances round by, far below any spacing of points.
+_ROUNDING = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -60,6 +73,7 @@ class RepeatabilityConfig:
     epsilon: finite match radius > 0, in meters; None means 2 x resolution.
     sigma: finite noise sigma >= 0, in meters; None means 0.5 x resolution.
     transform_seed, noise_seed: non-negative integers.
+    trials: an integer >= 1.
     """
 
     epsilon: float | None = None
@@ -73,10 +87,9 @@ class RepeatabilityConfig:
             raise InvalidParamsError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.sigma is not None and not 0 <= self.sigma < np.inf:
             raise InvalidParamsError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.trials < 1:
-            raise InvalidParamsError(f"trials must be >= 1, got {self.trials}")
+        require_integer(self.trials, "trials", 1)
         for name in ("transform_seed", "noise_seed"):
-            require_seed(getattr(self, name), name)
+            require_integer(getattr(self, name), name)
 
     def resolve(self, resolution: float) -> tuple[float, float]:
         epsilon = self.epsilon if self.epsilon is not None else DEFAULT_EPSILON_FACTOR * resolution
@@ -114,18 +127,13 @@ class AblationRow:
     runtime_seconds: float
 
 
-def _reach(params: DetectorParams) -> float:
-    """How far from a point the CED keypoint decision on it reads: 2 x radius."""
-    return 2.0 * params.radius
-
-
 def ced_detector(params: DetectorParams) -> Detector:
-    """Detector callable with fixed parameters and a ``reach`` attribute (2 x radius)."""
+    """Detector callable with fixed parameters, exposed as its ``params`` attribute."""
 
     def run(cloud: ColoredPointCloud) -> KeypointSet:
         return detect(cloud, params)
 
-    run.reach = _reach(params)
+    run.params = params
     return run
 
 
@@ -137,7 +145,7 @@ def detect_random(cloud: ColoredPointCloud, count: int, seed: int) -> KeypointSe
     so a fixed seed gives a bit-identical selection and every size-count
     subset is equally likely.
     """
-    require_seed(seed, "seed")
+    require_integer(seed, "seed")
     n = len(cloud)
     if not 1 <= count <= n:
         raise InvalidParamsError(f"count must be in [1, {n}], got {count}")
@@ -203,22 +211,33 @@ def count_matches(
     return int(np.count_nonzero(d2 < epsilon * epsilon))
 
 
-def _window(moved: ColoredPointCloud, centers: np.ndarray, distance: float) -> np.ndarray:
-    """Ascending indices of the copy's points within distance of any center.
+def _window(cloud: ColoredPointCloud, clean: ColoredPointCloud, moved: ColoredPointCloud,
+            centers: np.ndarray, near: np.ndarray, distances: Sequence[float]) -> list[np.ndarray]:
+    """Per distance, the mask of moved's points within it of a center, widened by the slack.
 
-    The distance is widened by the index's candidate slack, so rounding in
-    the tree's metric never drops a point that decides a match. A bounded
-    nearest-center query takes about half the time of counting all centers
-    in range (a 23k-point copy, 22 to 86 centers). An infinite distance (a
-    detector without a reach) takes every point, when there is a center,
-    without building a tree.
+    clean is the cloud under the rigid motion that maps its keypoints to
+    the centers, moved is clean plus noise, and near holds each point's
+    distance to the nearest keypoint in the cloud (module docstring). The
+    margin bounds the rounding of the motion, the noise and the distances,
+    scaled to the coordinates' magnitude. Points it cannot settle get the
+    bounded nearest-center query, so each mask equals that query's.
     """
-    if distance == np.inf:
-        return np.arange(len(moved) if len(centers) else 0)
-    nearest, _ = cKDTree(centers).query(
-        moved.xyz, distance_upper_bound=distance * _CANDIDATE_SLACK
-    )
-    return np.flatnonzero(nearest < np.inf)
+    shift = 0.0
+    if moved is not clean:
+        offsets = moved.xyz - clean.xyz
+        shift = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
+    scale = np.abs(cloud.xyz).max() + np.abs(clean.xyz).max() + np.abs(moved.xyz).max()
+    tree = cKDTree(centers)
+    masks = []
+    for distance in distances:
+        bound = distance * _CANDIDATE_SLACK
+        margin = _ROUNDING * (scale + bound)
+        inside = near + shift < bound - margin
+        unsure = ~inside & (near - shift <= bound + margin)
+        nearest, _ = tree.query(moved.xyz[unsure], distance_upper_bound=bound)
+        inside[unsure] = nearest < np.inf
+        masks.append(inside)
+    return masks
 
 
 def _subcloud(cloud: ColoredPointCloud, indices: np.ndarray) -> ColoredPointCloud:
@@ -234,32 +253,43 @@ def _sample_transforms(config: RepeatabilityConfig) -> list[RigidTransform]:
     return [sample_rigid_transform(rng) for _ in range(config.trials)]
 
 
-def _trials(cloud: ColoredPointCloud, sources: Sequence[KeypointSet], reach: float,
-            detect_window: Callable[[ColoredPointCloud], list[KeypointSet]],
+def _trials(cloud: ColoredPointCloud, sources: Sequence[KeypointSet],
+            grid: Sequence[DetectorParams], detector: Detector | None,
             config: RepeatabilityConfig, transforms: Sequence[RigidTransform]) -> list[list[float]]:
     """Each source's share of matched keypoints per trial, one list per source.
 
     Per trial, the copy is the cloud under the trial's rigid motion plus, when
-    sigma > 0, Gaussian noise seeded with noise_seed + trial index. It is
-    detected once, on its window: its points within epsilon + reach of every
-    source's moved keypoints. detect_window returns one KeypointSet per
-    source, in window indices, which map back through the window. An empty
+    sigma > 0, Gaussian noise seeded with noise_seed + trial index. grid holds
+    each source's parameters, equal but for the thresholds: the copy is
+    prepared once, on its window and core, and each source's keypoints are
+    selected from it and map back through the window. With an empty grid,
+    detector finds the single source's keypoints on the whole copy. An empty
     window scores 0 without detection, and a source without keypoints
     scores 0.
     """
     epsilon, sigma = config.resolve(cloud.resolution)
     source_points = [cloud.xyz[keys.indices] for keys in sources]
     every_source = cloud.xyz[np.unique(np.concatenate([keys.indices for keys in sources]))]
+    if grid:
+        near, _ = cKDTree(every_source).query(cloud.xyz)
+        radii = (epsilon + 2 * grid[0].radius, epsilon + grid[0].radius)
     ratios: list[list[float]] = [[] for _ in sources]
     for trial, transform in enumerate(transforms):
-        moved = apply_rigid_transform(cloud, transform)
-        if sigma > 0:
-            moved = add_gaussian_noise(moved, sigma, config.noise_seed + trial)
-        window = _window(moved, transform.apply(every_source), epsilon + reach)
-        if len(window):
-            found = [window[keys.indices] for keys in detect_window(_subcloud(moved, window))]
+        clean = apply_rigid_transform(cloud, transform)
+        moved = add_gaussian_noise(clean, sigma, config.noise_seed + trial) if sigma > 0 else clean
+        if grid:
+            in_window, in_core = _window(cloud, clean, moved, transform.apply(every_source),
+                                         near, radii)
+            window = np.flatnonzero(in_window)
         else:
+            window = np.arange(len(moved) if len(every_source) else 0)
+        if len(window) == 0:
             found = [window] * len(sources)
+        elif grid:
+            prepared = prepare(_subcloud(moved, window), grid[0], in_core[window])
+            found = [window[select(prepared, params).indices] for params in grid]
+        else:
+            found = [detector(moved).indices]
         for row, points, targets in zip(ratios, source_points, found):
             matched = count_matches(transform.apply(points), moved.xyz[targets], epsilon)
             row.append(matched / len(points) if len(points) else 0.0)
@@ -279,25 +309,24 @@ def evaluate_repeatability(
     transform_seed. Noise uses a fresh seed per trial, derived as
     noise_seed + trial index.
 
-    A detector with a ``reach`` (ced_detector's) runs on each copy's window
-    only, the points within epsilon + reach of the moved source keypoints,
-    and its keypoints map back through the window's indices; the ratios are
-    those of whole-copy detection (module docstring). An empty window
-    scores 0. Other detectors have an infinite reach: they get the whole copy.
+    A detector with ``params`` (ced_detector's) prepares each copy on its
+    window and core only, and its keypoints map back through the window's
+    indices; the ratios are those of whole-copy detection (module
+    docstring). An empty window scores 0. Other detectors get the whole copy.
     """
     if transforms is None:
         transforms = _sample_transforms(config)
     if len(transforms) == 0:
         raise InvalidParamsError("transforms must hold at least one transform")
-    reach = getattr(detector, "reach", np.inf)
+    params = getattr(detector, "params", None)
 
     start = time.perf_counter()
     source_keys = detector(cloud)
     detect_time = time.perf_counter() - start
 
     total = len(source_keys)
-    [ratios] = _trials(cloud, [source_keys], reach, lambda window: [detector(window)], config,
-                       transforms)
+    [ratios] = _trials(cloud, [source_keys], [] if params is None else [params], detector,
+                       config, transforms)
 
     relative = mean(ratios)
     return RepeatabilityReport(
@@ -314,9 +343,11 @@ def evaluate_repeatability(
 def measure_runtime(
     cloud: ColoredPointCloud, detector: Detector, repetitions: int = 5
 ) -> RuntimeStats:
-    """Wall-clock seconds per detector run, sequentially, index build included."""
-    if repetitions < 3:
-        raise InvalidParamsError(f"repetitions must be >= 3, got {repetitions}")
+    """Wall-clock seconds per detector run, sequentially, index build included.
+
+    repetitions: an integer >= 3.
+    """
+    require_integer(repetitions, "repetitions", 3)
     samples = []
     for _ in range(repetitions):
         start = time.perf_counter()
@@ -344,9 +375,10 @@ def ablation_sweep(
     A row's runtime_seconds is the source cloud's prepare time plus that
     row's select time: the time a detection at the row's thresholds takes.
 
-    Each copy is prepared on its window only (see evaluate_repeatability),
-    taken around the union of every row's source keypoints so that one
-    window serves every row; an empty window scores 0 in every row.
+    Each copy is prepared on its window and core only (see
+    evaluate_repeatability), taken around the union of every row's source
+    keypoints so that one window serves every row; an empty window scores 0
+    in every row.
     """
     if len(geo_thresholds) == 0 or len(color_thresholds) == 0:
         raise InvalidParamsError("threshold lists must be non-empty")
@@ -367,12 +399,7 @@ def ablation_sweep(
         sources.append(select(prepared, params))
         runtimes.append(prepare_time + time.perf_counter() - start)
 
-    def select_rows(window: ColoredPointCloud) -> list[KeypointSet]:
-        target = prepare(window, fixed_params)
-        return [select(target, params) for params in grid]
-
-    ratios = _trials(cloud, sources, _reach(fixed_params), select_rows, config,
-                     _sample_transforms(config))
+    ratios = _trials(cloud, sources, grid, None, config, _sample_transforms(config))
     return [
         AblationRow(
             geo_threshold=params.geo_threshold,

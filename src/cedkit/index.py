@@ -28,6 +28,16 @@ either side of it (one radius would do; the rest is margin for rounding).
 Pairs come out slab by slab, each slab's own pairs before those across its
 upper cut, and within a query in its tree's order.
 
+A query can be restricted to a core, a mask of points: then only the pairs
+with an end in the core come out. A slab's tree holds its core points only,
+the pairs joining them to the slab's other points come from
+``sparse_distance_matrix``, and a pair across a cut is kept when an end is
+in the core. So each core point's neighborhood is whole, and a point
+outside the core keeps only its pairs to core points. A core of every point
+is the plain query, pair for pair and in the same order. The repeatability
+trials take as a copy's core the points whose neighborhoods the decisions
+that matching reads depend on (see ``evaluation``).
+
 The slabs bound memory. ``query_pairs`` collects its pairs in a vector that
 grows by doubling, 16 bytes per pair. On a 99k-point room (2.45M pairs) one
 query briefly holds a 33.5 MB and a 67 MB buffer, both above glibc's 32 MB
@@ -115,14 +125,21 @@ class SpatialIndex:
     def __len__(self) -> int:
         return self._xyz.shape[0]
 
-    def neighbor_graph(self, radius: float) -> NeighborGraph:
-        """All strict-radius neighbor pairs; the one neighborhood query."""
+    def neighbor_graph(self, radius: float, core: np.ndarray | None = None) -> NeighborGraph:
+        """Strict-radius neighbor pairs with an end in core; the one neighborhood query.
+
+        core is a per-point mask, None for every point. Each core point keeps
+        all its pairs; a point outside it keeps only its pairs to core points.
+        """
         if not (0 < radius < np.inf):
             raise InvalidParamsError(f"radius must be finite and > 0, got {radius}")
+        core = np.ones(len(self), dtype=bool) if core is None else np.asarray(core, dtype=bool)
+        if core.shape != (len(self),):
+            raise InvalidParamsError(f"core must mask {len(self)} points, got shape {core.shape}")
         dtype = np.int32 if len(self) - 1 <= np.iinfo(np.int32).max else np.int64
         pairs = np.empty(0, dtype=dtype)
         m = size = 0
-        for candidates, ids in self._candidates(radius * _CANDIDATE_SLACK):
+        for candidates, ids in self._candidates(radius * _CANDIDATE_SLACK, core):
             # resize reallocates, and glibc remaps a large buffer rather
             # than copying it; the new room is zeroed, then overwritten
             last, size = size, max(size, m + len(candidates))
@@ -147,44 +164,54 @@ class SpatialIndex:
         pairs.resize(2 * m, refcheck=False)
         return NeighborGraph(len(self), pairs.reshape(2, m).T)
 
-    def _candidates(self, reach: float):
-        """Blocks (pairs, ids) of candidate pairs within reach, slab by slab.
+    def _candidates(self, reach: float, core: np.ndarray):
+        """Blocks (pairs, ids) of candidate pairs within reach with an end in core, slab by slab.
 
         Each (k, 2) block indexes ids, or the cloud when ids is None; mapped
         to the cloud, every row is i < j and each pair comes out once. A
-        cloud of one slab gives one block, its tree's query_pairs.
+        slab's core points give one block, their tree's query_pairs; pairs
+        joining them to the slab's other points, and pairs across a cut, come
+        from sparse_distance_matrix.
         """
         spans = [float(column.max()) - float(column.min()) for column in self._columns]
         axis = int(np.argmax(spans))
         n_slabs = int(min(-(-len(self) // _SLAB_POINTS), spans[axis] / (_SLAB_WIDTH * reach)))
-        if n_slabs < 2:
-            yield _kdtree(self._xyz).query_pairs(reach, output_type="ndarray"), None
-            return
+        n_slabs = max(n_slabs, 1)
         coords = self._columns[axis]
         cuts = float(coords.min()) + spans[axis] / n_slabs * np.arange(1, n_slabs)
         # slab k holds cuts[k - 1] <= coordinate < cuts[k]
         slab = np.searchsorted(cuts, coords, side="right")
         members = [np.flatnonzero(slab == k) for k in range(n_slabs)]
+        del slab
         band = _BAND * reach
         for k, ids in enumerate(members):
-            if len(ids) > 1:
-                yield _kdtree(self._xyz[ids]).query_pairs(reach, output_type="ndarray"), ids
+            in_core = core[ids]
+            inner, outer = (ids, ids[:0]) if in_core.all() else (ids[in_core], ids[~in_core])
+            if len(inner) > 1:
+                # A slab wholly in the core is queried with no copy of its ids, and
+                # one that is the whole cloud with no copy of its points and no ids:
+                # the plain query holds no more memory than it needs.
+                whole = len(inner) == len(self)
+                tree = _kdtree(self._xyz if whole else self._xyz[inner])
+                yield tree.query_pairs(reach, output_type="ndarray"), None if whole else inner
+            if len(inner) and len(outer):
+                yield self._cross_pairs(inner, outer, reach), None
             if k + 1 == n_slabs:
                 break
             # a pair across cut k joins slab k to slab k + 1, both ends within reach of the cut
             below = ids[coords[ids] >= cuts[k] - band]
             above = members[k + 1][coords[members[k + 1]] < cuts[k] + band]
             if len(below) and len(above):
-                yield self._cross_pairs(below, above, reach), None
+                cross = self._cross_pairs(below, above, reach)
+                yield cross[core[cross[:, 0]] | core[cross[:, 1]]], None
 
-    def _cross_pairs(self, below: np.ndarray, above: np.ndarray, reach: float) -> np.ndarray:
-        """Candidate pairs (i < j) joining a point of below to a point of above."""
-        cross = _kdtree(self._xyz[below]).sparse_distance_matrix(
-            _kdtree(self._xyz[above]), reach, output_type="ndarray"
+    def _cross_pairs(self, one: np.ndarray, other: np.ndarray, reach: float) -> np.ndarray:
+        """Candidate pairs (i < j) joining a point of one to a point of other, disjoint sets."""
+        cross = _kdtree(self._xyz[one]).sparse_distance_matrix(
+            _kdtree(self._xyz[other]), reach, output_type="ndarray"
         )
-        pairs = np.column_stack((below[cross["i"]], above[cross["j"]]))
-        pairs.sort(axis=1)
-        return pairs
+        first, second = one[cross["i"]], other[cross["j"]]
+        return np.column_stack((np.minimum(first, second), np.maximum(first, second)))
 
     def _strictly_within(self, first, second, radius: float) -> np.ndarray:
         """Mask of ||g_first - g_second||2 < radius, elementwise over the index arrays.

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cloud import ColoredPointCloud, require_seed
+from .cloud import ColoredPointCloud, require_integer
 from .errors import InvalidParamsError
 
 Color = tuple[float, float, float]
@@ -83,7 +83,7 @@ class SceneSpec:
                 raise InvalidParamsError(
                     f"{name} / pitch must be finite, got {getattr(self, name)} / {self.pitch}"
                 )
-        require_seed(self.seed, "seed")
+        require_integer(self.seed, "seed")
         if not 0.0 <= self.jitter < 0.5:
             raise InvalidParamsError(f"jitter must be in [0, 0.5), got {self.jitter}")
         if self.kind is SceneKind.ROOM_COMPOSITE and int(round(self.extent / self.pitch)) < 2:

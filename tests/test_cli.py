@@ -318,7 +318,7 @@ class TestOutOfMemory:
     @pytest.mark.parametrize("command", ["detect", "repeat", "ablate"])
     @pytest.mark.parametrize("message", ["std::bad_alloc", ""])
     def test_exit_1_with_one_line(self, tiny_ply, tmp_path, capsys, monkeypatch, command, message):
-        def exhausted(self, radius):
+        def exhausted(self, radius, core=None):
             raise MemoryError(message)
 
         monkeypatch.setattr(cedkit.index.SpatialIndex, "neighbor_graph", exhausted)

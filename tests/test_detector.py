@@ -75,6 +75,12 @@ class TestDetectorParams:
         with pytest.raises(InvalidParamsError):
             DetectorParams(radius=0.0)
 
+    @pytest.mark.parametrize("value", [2.5, 5.0, "5", None])
+    def test_min_neighbors_must_be_an_integer(self, value):
+        with pytest.raises(InvalidParamsError, match="min_neighbors must be an integer >= 1"):
+            DetectorParams(radius=0.1, min_neighbors=value)
+        DetectorParams(radius=0.1, min_neighbors=np.int64(5))
+
     @pytest.mark.parametrize("radius", [np.nan, np.inf])
     def test_non_finite_radius_rejected(self, radius):
         with pytest.raises(InvalidParamsError, match="finite"):
@@ -553,6 +559,25 @@ class TestPrepareSelect:
         ):
             with pytest.raises(InvalidParamsError):
                 select(prepared, changed)
+
+    @pytest.mark.parametrize("mode", [DetectorMode.CED, DetectorMode.CED_3D])
+    def test_core_decides_its_settled_points_and_selects_nothing_outside(self, rng, mode):
+        cloud = random_colored_cloud(rng, 600)
+        params = DetectorParams(radius=0.25, mode=mode)
+        core = cloud.xyz[:, 0] < np.median(cloud.xyz[:, 0])
+        whole, part = prepare(cloud, params), prepare(cloud, params, core)
+        # a core point with every neighbor in the core has its whole decision
+        first, second = build_index(cloud).neighbor_graph(params.radius).pairs.T
+        reaches_out = np.zeros(len(cloud), dtype=bool)
+        reaches_out[first[~core[second]]] = reaches_out[second[~core[first]]] = True
+        settled = core & ~reaches_out
+        assert 0 < np.count_nonzero(settled) < np.count_nonzero(core)
+        assert np.array_equal(part.local_max[settled], whole.local_max[settled])
+        assert part.local_max[settled].any()
+        assert not part.local_max[~core].any()
+        for got, expected in zip(part.fields, whole.fields):
+            assert np.array_equal(got.valid[core], expected.valid[core])
+            assert np.allclose(got.values[core], expected.values[core], rtol=1e-12, atol=0)
 
 
 class TestDetect:

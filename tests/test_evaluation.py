@@ -5,11 +5,13 @@ from statistics import mean
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import cedkit.detector
 import cedkit.evaluation
 
 from cedkit import (
+    ColoredPointCloud,
     DetectorParams,
     KeypointSet,
     RepeatabilityConfig,
@@ -57,6 +59,12 @@ class TestRepeatabilityConfig:
                 with pytest.raises(InvalidParamsError, match="non-negative integer"):
                     RepeatabilityConfig(**{seed: value})
             RepeatabilityConfig(**{seed: np.int64(3)})
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, "3", None])
+    def test_trials_must_be_an_integer(self, value):
+        with pytest.raises(InvalidParamsError, match="trials must be an integer >= 1"):
+            RepeatabilityConfig(trials=value)
+        RepeatabilityConfig(trials=np.int64(3))
 
     @pytest.mark.parametrize("field", ["epsilon", "sigma"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -198,15 +206,23 @@ def whole_copy_ratios(cloud, params, config, transforms):
 
 @pytest.fixture
 def detected_sizes(monkeypatch):
-    """Point counts of the clouds the CED detector runs on, in call order."""
+    """Point counts of the clouds the CED detector runs on, in call order.
+
+    The source is detected through detect, each copy through prepare.
+    """
     sizes = []
-    inner = cedkit.evaluation.detect
+    detect, prepare = cedkit.evaluation.detect, cedkit.evaluation.prepare
 
     def counting_detect(cloud, params):
         sizes.append(len(cloud))
-        return inner(cloud, params)
+        return detect(cloud, params)
+
+    def counting_prepare(cloud, params, core=None):
+        sizes.append(len(cloud))
+        return prepare(cloud, params, core)
 
     monkeypatch.setattr(cedkit.evaluation, "detect", counting_detect)
+    monkeypatch.setattr(cedkit.evaluation, "prepare", counting_prepare)
     return sizes
 
 
@@ -232,6 +248,22 @@ class TestCopyWindow:
         copies = detected_sizes[1:]
         assert len(copies) == config.trials
         assert all(size == len(cloud) if whole else size < len(cloud) for size in copies)
+
+    def test_copies_are_prepared_with_a_core(self, monkeypatch):
+        cores = []
+        prepare = cedkit.evaluation.prepare
+
+        def recording_prepare(cloud, params, core=None):
+            cores.append((len(cloud), core))
+            return prepare(cloud, params, core)
+
+        monkeypatch.setattr(cedkit.evaluation, "prepare", recording_prepare)
+        params = DetectorParams(radius=0.052, geo_threshold=0.4, color_threshold=0.6)
+        config = RepeatabilityConfig(epsilon=0.02, sigma=0.005, trials=3)
+        evaluate_repeatability(room(extent=0.8), ced_detector(params), config)
+        assert len(cores) == config.trials
+        assert all(core.shape == (size,) and 0 < np.count_nonzero(core) < size
+                   for size, core in cores)
 
     def test_sweep_rows_equal_whole_copy_detection(self):
         cloud = room(extent=0.8)
@@ -279,6 +311,44 @@ class TestCopyWindow:
         assert built == [len(cloud), len(cloud)]
 
 
+class TestWindowFromSourceFrame:
+    """Window and core found from the source frame equal the query over every copy point."""
+
+    DISTANCES = (0.02 + 2 * 0.052, 0.02 + 0.052)
+
+    def cloud_with_boundary_points(self, rng, offset):
+        # points a few 2^-45 of a distance inside and outside each distance of
+        # a keypoint: at an offset of 1e6 m rounding alone decides their side
+        cloud = room(extent=0.3)
+        keys = np.arange(0, len(cloud), 150)
+        directions = rng.normal(size=(len(self.DISTANCES), 9, 3))
+        directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+        factors = 1 + np.arange(-4, 5)[:, None] * 2.0 ** -45
+        boundary = np.concatenate([
+            cloud.xyz[keys[k]] + distance * cedkit.evaluation._CANDIDATE_SLACK * factors * ray
+            for k, (distance, ray) in enumerate(zip(self.DISTANCES, directions))
+        ])
+        xyz = np.vstack([cloud.xyz, boundary]) + offset
+        return ColoredPointCloud(xyz, np.zeros_like(xyz)), keys
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+    @pytest.mark.parametrize("sigma", [0.0, 0.005, 100.0])
+    def test_masks_equal_the_query(self, rng, offset, sigma):
+        cloud, keys = self.cloud_with_boundary_points(rng, offset)
+        near, _ = cKDTree(cloud.xyz[keys]).query(cloud.xyz)
+        for trial in range(3):
+            transform = sample_rigid_transform(rng)
+            clean = apply_rigid_transform(cloud, transform)
+            moved = add_gaussian_noise(clean, sigma, trial)
+            centers = transform.apply(cloud.xyz[keys])
+            masks = cedkit.evaluation._window(cloud, clean, moved, centers, near, self.DISTANCES)
+            for mask, distance in zip(masks, self.DISTANCES):
+                bound = distance * cedkit.evaluation._CANDIDATE_SLACK
+                nearest, _ = cKDTree(centers).query(moved.xyz, distance_upper_bound=bound)
+                assert np.array_equal(mask, nearest < np.inf)
+                assert sigma == 100.0 or 0 < np.count_nonzero(mask) < len(cloud)
+
+
 class TestMeasureRuntime:
     def test_small_cloud_is_fast(self, rng):
         cloud = random_colored_cloud(rng, 10)
@@ -296,6 +366,12 @@ class TestMeasureRuntime:
         cloud = random_colored_cloud(rng, 10)
         with pytest.raises(InvalidParamsError):
             measure_runtime(cloud, ced_detector(DetectorParams(radius=0.3)), repetitions=2)
+
+    @pytest.mark.parametrize("value", [3.5, 4.0, "3", None])
+    def test_repetitions_must_be_an_integer(self, rng, value):
+        cloud = random_colored_cloud(rng, 10)
+        with pytest.raises(InvalidParamsError, match="repetitions must be an integer >= 3"):
+            measure_runtime(cloud, ced_detector(DetectorParams(radius=0.3)), repetitions=value)
 
 
 class TestAblationSweep:
@@ -336,9 +412,9 @@ class TestAblationSweep:
         calls = []
         prepare = cedkit.evaluation.prepare
 
-        def counting_prepare(cloud, params):
+        def counting_prepare(cloud, params, core=None):
             calls.append(len(cloud))
-            return prepare(cloud, params)
+            return prepare(cloud, params, core)
 
         monkeypatch.setattr(cedkit.evaluation, "prepare", counting_prepare)
         cloud = random_colored_cloud(rng, 300)

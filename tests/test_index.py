@@ -298,3 +298,49 @@ class TestSlabs:
             got = detect(cloud, params).indices
             assert max(slab_trees) < n, f"trial {trial} was not sliced"
             assert np.array_equal(got, detect_brute_force(cloud, params)), f"mismatch on trial {trial}"
+
+
+def _spread(rng):
+    # 1,500 points over x in [0, 1]: at 64 points per slab and r = 0.05, eight slabs
+    return rng.uniform(0, 1, size=(1_500, 3)) * [1.0, 0.2, 0.2]
+
+
+def _sorted_rows(pairs):
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+class TestCore:
+    """neighbor_graph(r, core) keeps the pairs with an end in the core."""
+
+    @pytest.mark.parametrize("slab_points", [1 << 15, 64], ids=["one-slab", "slabs"])
+    @pytest.mark.parametrize(
+        "layout",
+        [_duplicated_sites, _collinear, _identical, _on_cuts, _spread],
+        ids=lambda layout: layout.__name__.lstrip("_"),
+    )
+    def test_pairs_touching_the_core(self, rng, monkeypatch, layout, slab_points):
+        monkeypatch.setattr(index, "_SLAB_POINTS", slab_points)
+        xyz = layout(rng)
+        built = build_index(cloud_of(xyz))
+        full = built.neighbor_graph(0.05).pairs
+        for share in (0.0, 0.1, 0.5, 0.9):
+            core = rng.random(len(xyz)) < share
+            got = built.neighbor_graph(0.05, core).pairs
+            expected = full[core[full].any(axis=1)]
+            assert np.array_equal(_sorted_rows(got), _sorted_rows(expected))
+            assert (got[:, 0] < got[:, 1]).all()
+
+    @pytest.mark.parametrize("slab_points", [1 << 15, 64], ids=["one-slab", "slabs"])
+    def test_whole_core_is_the_plain_query(self, rng, monkeypatch, slab_points):
+        monkeypatch.setattr(index, "_SLAB_POINTS", slab_points)
+        xyz = _spread(rng)
+        built = build_index(cloud_of(xyz))
+        plain = built.neighbor_graph(0.05).pairs
+        whole = built.neighbor_graph(0.05, np.ones(len(xyz), dtype=bool)).pairs
+        assert whole.dtype == plain.dtype and whole.strides == plain.strides
+        assert np.array_equal(whole, plain)
+
+    def test_core_must_mask_every_point(self):
+        built = build_index(cloud_of(np.zeros((4, 3))))
+        with pytest.raises(InvalidParamsError, match="core must mask 4 points"):
+            built.neighbor_graph(0.05, np.ones(3, dtype=bool))
