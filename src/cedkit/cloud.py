@@ -40,6 +40,24 @@ def require_integer(value, name: str, least: int = 0) -> None:
         raise InvalidParamsError(f"{name} must be {kind}, got {value!r}")
 
 
+def require_real(value, name: str, low=0, high=np.inf, ends: str = "()") -> None:
+    """Raise InvalidParamsError unless value is a real number from low to high.
+
+    ends holds the interval's brackets: "(" or ")" for an open end, "[" or "]"
+    for a closed one. An interval open up to inf asks for a finite value; a
+    value that does not compare with numbers (a string, None) is rejected.
+    """
+    try:
+        inside = (low < value if ends[0] == "(" else low <= value) and (
+            value < high if ends[1] == ")" else value <= high)
+    except TypeError:
+        inside = False
+    if not inside:
+        rule = (f"finite and {'>' if ends[0] == '(' else '>='} {low}" if high == np.inf
+                else f"in {ends[0]}{low}, {high}{ends[1]}")
+        raise InvalidParamsError(f"{name} must be {rule}, got {value!r}")
+
+
 def frozen_copy(values, dtype=np.float64) -> np.ndarray:
     """A read-only, C-ordered copy of values as dtype; the caller's array stays writeable."""
     arr = np.array(values, dtype=dtype, copy=True, order="C")
@@ -85,8 +103,7 @@ class ColoredPointCloud:
             raise InvalidParamsError(
                 f"colors must lie in [0, 1], got [{self.rgb.min():g}, {self.rgb.max():g}]"
             )
-        if not (0 < self.resolution < np.inf):
-            raise InvalidParamsError(f"resolution must be finite and > 0, got {self.resolution}")
+        require_real(self.resolution, "resolution")
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
@@ -143,8 +160,7 @@ def add_gaussian_noise(cloud: ColoredPointCloud, sigma: float, seed: int) -> Col
     otherwise).
     """
     require_integer(seed, "seed")
-    if not (0 <= sigma < np.inf):
-        raise InvalidParamsError(f"sigma must be finite and >= 0, got {sigma}")
+    require_real(sigma, "sigma", ends="[)")
     if sigma == 0:
         return cloud
     rng = np.random.default_rng(seed)

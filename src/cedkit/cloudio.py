@@ -4,13 +4,24 @@ Supported layouts:
 
 - PLY ASCII and PLY binary (little endian): header ``ply`` /
   ``format ascii 1.0`` or ``format binary_little_endian 1.0``, one ``vertex``
-  element with scalar properties. Coordinates are ``float`` (or ``double``)
-  x, y, z; colors are optional ``uchar`` red, green, blue. A color property
-  of any other type is rejected, and so is an ASCII ``uchar`` value that is
-  not an integer in 0..255.
+  element with scalar properties, after any number of empty elements.
+  Coordinates are ``float`` (or ``double``) x, y, z; colors are optional
+  ``uchar`` red, green, blue. A color property of any other type is
+  rejected, and so is an ASCII ``uchar`` value that is not an integer in
+  0..255. The properties of elements after vertex are not read, so a mesh
+  (say with ``element face`` and a ``property list``) parses as its vertices.
 - PCD ASCII: ``FIELDS x y z`` or ``FIELDS x y z rgb``, where ``rgb`` is the
   packed-float encoding (three color bytes stored in the low 24 bits of a
   float32 bit pattern).
+
+Every layout is read the same way. One header reader per format returns the
+layout, the record count, the record's fields as (name, numpy type code) in
+file order, and the offset of the body. sniff_format is the layout of that
+reading, so an invalid header fails there with the parser's error, and
+parse_cloud rejects a header whose layout is not the one it is asked for.
+One body reader views binary records in place and parses ASCII tokens, and
+one step turns the records into a cloud, taking three color bytes from PLY
+and the packed rgb float from PCD.
 
 Every writer stores the same record per point: x, y, z as float32 and, when
 the cloud has color, red, green and blue bytes of round(channel*255).
@@ -19,12 +30,14 @@ internal float64 representation, and maps a color byte back as byte/255. As
 a result write-then-parse is the identity on any cloud whose values came
 from a file (or are otherwise float32-representable), bit-exactly for the
 binary layout and through a 9-significant-digit decimal for the ASCII
-layouts. A finite coordinate beyond float32's range has no file form, so
-writing it raises InvalidParamsError. Files carry no sampling pitch, so a
-parsed cloud has resolution 0.01.
+layouts. An ASCII value of a float-typed field that float32 cannot hold
+(1e300, say) raises CloudFormatError naming the field and the record. A
+finite coordinate beyond float32's range has no file form, so writing it
+raises InvalidParamsError. Files carry no sampling pitch, so a parsed cloud
+has resolution 0.01.
 
-Mesh faces, big-endian PLY, and organized (image-grid) clouds are out of
-scope; trailing elements after the vertex data are ignored.
+Big-endian PLY, binary PCD and organized (image-grid) clouds are out of
+scope.
 """
 
 from __future__ import annotations
@@ -84,14 +97,22 @@ def parse_cloud(data: bytes, fmt: CloudFormat) -> ColoredPointCloud:
         MalformedHeaderError: unreadable or contradictory declarations.
         TruncatedBodyError: fewer records than declared.
         UnsupportedPropertyError: property type or layout outside scope.
+        CloudFormatError: an ASCII token that is not a number, a uchar value
+            that is not an integer in 0..255, or a float value beyond
+            float32's range.
         NonFiniteValueError: a coordinate or color is NaN or infinite (the
             cloud's constructor checks; PCD checks its packed rgb float).
     """
     if fmt in (CloudFormat.PLY_ASCII, CloudFormat.PLY_BINARY_LE):
-        return _parse_ply(data, fmt)
-    if fmt is CloudFormat.PCD_ASCII:
-        return _parse_pcd(data)
-    raise ValueError(f"unknown format {fmt!r}")
+        header = _ply_header
+    elif fmt is CloudFormat.PCD_ASCII:
+        header = _pcd_header
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    layout, count, fields, start = header(data)
+    if layout is not fmt:
+        raise MalformedHeaderError(f"header declares {layout.value}, not {fmt.value}")
+    return _cloud(_read_records(data, start, count, fields, layout), fields, layout)
 
 
 def write_cloud(cloud: ColoredPointCloud, fmt: CloudFormat) -> bytes:
@@ -110,22 +131,86 @@ def write_cloud(cloud: ColoredPointCloud, fmt: CloudFormat) -> bytes:
 
 
 def sniff_format(data: bytes) -> CloudFormat:
-    """The layout that the file's header declares; raises MalformedHeaderError if none.
+    """The layout that the file's header declares, the header read and checked
+    as parse_cloud reads it; an invalid header raises the parser's error.
 
     A file with the ``ply`` magic has the layout that its header's format line
-    names, the header read and checked as parse_cloud reads it; any other file
-    is PCD ASCII when its header has a FIELDS line before its DATA line, after
-    any number of comment lines.
+    names; any other file is read as a PCD ASCII header.
     """
-    if data.startswith(b"ply"):
-        return _parse_ply_header(data)[0]
+    return (_ply_header if data.startswith(b"ply") else _pcd_header)(data)[0]
+
+
+def _read_records(data: bytes, start: int, count: int, fields, layout: CloudFormat):
+    """The first count records of the body at start, by field name: a
+    structured array on the bytes (binary PLY) or float64 columns parsed from
+    whitespace-separated tokens (ASCII).
+
+    fields lists (name, numpy type code) in record order. An ASCII "<f4" value
+    is snapped to float32, and a "u1" value must be an integer in 0..255; a
+    finite value that float32 cannot hold, or a bad byte, raises
+    CloudFormatError naming the field and the record. A non-finite value is
+    left to the cloud's finite check, so it still reads as NonFiniteValueError.
+    """
+    if layout is CloudFormat.PLY_BINARY_LE:
+        dtype = np.dtype(fields)
+        if len(data) - start < count * dtype.itemsize:
+            raise TruncatedBodyError(
+                f"need {count * dtype.itemsize} body bytes, have {len(data) - start}")
+        return np.frombuffer(data, dtype=dtype, count=count, offset=start)
+    tokens = data[start:].split()
+    needed = count * len(fields)
+    if len(tokens) < needed:
+        raise TruncatedBodyError(f"need {needed} body tokens, have {len(tokens)}")
     try:
-        meta, _ = _pcd_header(data)
-    except MalformedHeaderError as exc:  # a line that is not ascii or not a header line
-        raise MalformedHeaderError(f"unrecognized point-cloud file: {exc}") from exc
-    if "FIELDS" in meta and "DATA" in meta:
-        return CloudFormat.PCD_ASCII
-    raise MalformedHeaderError("unrecognized point-cloud file")
+        values = np.array(tokens[:needed], dtype=np.float64).reshape(count, len(fields))
+    except ValueError as exc:
+        raise CloudFormatError(f"unparseable record: {exc}") from exc
+    table, bad = {}, np.zeros(values.shape, dtype=bool)
+    with np.errstate(over="ignore"):
+        for column, (name, code) in enumerate(fields):
+            value = table[name] = values[:, column]
+            if code == "<f4":
+                # rounded to float32 and widened back, as the files store them
+                table[name] = value.astype(np.float32).astype(np.float64)
+                bad[:, column] = np.isinf(table[name])
+            elif code == "u1":
+                bad[:, column] = ~((value >= 0) & (value <= 255) & (np.rint(value) == value))
+    bad &= np.isfinite(values)
+    if bad.any():
+        row, column = np.argwhere(bad)[0]
+        name, code = fields[column]
+        kind, rule = (("uchar", "not an integer in 0..255") if code == "u1"
+                      else ("float", "beyond float32's range"))
+        raise CloudFormatError(
+            f"{kind} property {name!r} of record {row} is {values[row, column]:g}, {rule}")
+    return table
+
+
+def _cloud(table, fields, layout: CloudFormat) -> ColoredPointCloud:
+    """The cloud from the records' x, y, z and colors: the red, green and blue
+    bytes of a PLY file that declares all three, the packed rgb float of a PCD
+    file that declares it. Every value is widened to float64 as it is copied."""
+    names = dict(fields)
+    xyz = np.empty((len(table["x"]), 3))
+    # widening a signalling NaN warns; the cloud's finite check decides
+    with np.errstate(invalid="ignore"):
+        for axis, name in enumerate(_AXES):
+            xyz[:, axis] = table[name]
+    if layout is CloudFormat.PCD_ASCII and "rgb" in names:
+        # the packed float's low 24 bits hold the red, green and blue bytes,
+        # which are finite even when the float read from the file is not
+        require_finite(table["rgb"][:, None], "colors")
+        packed = table["rgb"].astype(np.float32).view(np.uint32)
+        colors = [(packed >> shift) & 0xFF for shift in (16, 8, 0)]
+    elif layout is not CloudFormat.PCD_ASCII and all(name in names for name in _COLOR_NAMES):
+        colors = [table[name] for name in _COLOR_NAMES]
+    else:
+        colors = []
+    rgb = np.zeros_like(xyz)
+    for channel, column in enumerate(colors):
+        rgb[:, channel] = column
+    rgb /= 255.0
+    return ColoredPointCloud(xyz, rgb, has_color=bool(colors))
 
 
 def _records(cloud: ColoredPointCloud) -> np.ndarray:
@@ -190,24 +275,26 @@ def format_rows(columns: list[np.ndarray], line: str) -> str:
 _PLY_LAYOUTS = {"ascii": CloudFormat.PLY_ASCII, "binary_little_endian": CloudFormat.PLY_BINARY_LE}
 
 
-def _parse_ply_header(data: bytes):
-    """The layout that the header's format line names, its elements, and the
-    offset where the body starts."""
+def _ply_header(data: bytes):
+    """The PLY header read and checked: the layout that its format line names,
+    the vertex count, the vertex properties as (name, numpy type code) in file
+    order, and the offset where the body starts. The properties of elements
+    after vertex are skipped, so a mesh reads as its vertices."""
     end = data.find(b"end_header")
     if not data.startswith(b"ply") or end < 0:
         raise MalformedHeaderError("not a ply file (missing magic or end_header)")
     newline = data.find(b"\n", end)
     if newline < 0:
         raise MalformedHeaderError("header terminator not followed by a newline")
-    body_start = newline + 1
-
     try:
         header = data[:end].decode("ascii")
     except UnicodeDecodeError as exc:
         raise MalformedHeaderError("header is not ascii") from exc
 
-    elements: list[tuple[str, int, list[tuple[str, str]]]] = []
-    layout = None
+    layout = count = fields = None
+    # the list that the current element's properties go to; None before the
+    # first element and past the vertex element
+    props, leading = None, False
     for raw in header.splitlines()[1:]:
         line = raw.strip()
         if not line or line.startswith(("comment", "obj_info")):
@@ -221,118 +308,44 @@ def _parse_ply_header(data: bytes):
         elif tokens[0] == "element":
             if len(tokens) != 3 or not tokens[2].isdigit():
                 raise MalformedHeaderError(f"unreadable element line {line!r}")
-            elements.append((tokens[1], int(tokens[2]), []))
+            if fields is None and tokens[1] == "vertex":
+                count, fields = int(tokens[2]), []
+                props = fields
+            else:
+                leading |= fields is None and int(tokens[2]) > 0
+                props = [] if fields is None else None
         elif tokens[0] == "property":
-            if not elements:
+            if props is None and fields is None:
                 raise MalformedHeaderError("property declared before any element")
+            if props is None:
+                continue
             if len(tokens) > 1 and tokens[1] == "list":
                 raise UnsupportedPropertyError("list properties are not supported")
             if len(tokens) != 3:
                 raise MalformedHeaderError(f"unreadable property line {line!r}")
-            ptype, pname = tokens[1], tokens[2]
-            if ptype not in _PLY_TYPES:
-                raise UnsupportedPropertyError(f"property type {ptype!r} not supported")
-            elements[-1][2].append((pname, _PLY_TYPES[ptype]))
+            if tokens[1] not in _PLY_TYPES:
+                raise UnsupportedPropertyError(f"property type {tokens[1]!r} not supported")
+            props.append((tokens[2], _PLY_TYPES[tokens[1]]))
         else:
             raise MalformedHeaderError(f"unreadable header line {line!r}")
     if layout is None:
         raise MalformedHeaderError("header carries no format line")
-    return layout, elements, body_start
-
-
-def _vertex_layout(elements):
-    for position, (name, count, props) in enumerate(elements):
-        if name == "vertex":
-            if position > 0 and any(c > 0 for _, c, _ in elements[:position]):
-                raise UnsupportedPropertyError(
-                    "non-empty elements before vertex are not supported"
-                )
-            names = [p for p, _ in props]
-            if any(names.count(p) > 1 for p in names):
-                raise MalformedHeaderError("duplicate vertex property")
-            for pname, code in props:
-                if pname in _COLOR_NAMES and code != "u1":
-                    raise UnsupportedPropertyError(f"color property {pname!r} must be uchar")
-            for axis in _AXES:
-                if axis not in names:
-                    raise MalformedHeaderError(f"vertex element lacks property {axis!r}")
-                if dict(props)[axis] == "u1":
-                    raise UnsupportedPropertyError(
-                        f"coordinate property {axis!r} must be float or double"
-                    )
-            return count, props
-    raise MalformedHeaderError("no vertex element declared")
-
-
-def _read_ascii_records(tokens: list, count: int, columns) -> dict[str, np.ndarray]:
-    """The first count records of whitespace-separated ASCII tokens, by column.
-
-    columns lists (name, numpy type code) per token of a record; every value
-    is parsed as float64, "<f4" columns are snapped to float32 and "u1"
-    columns must hold integers in 0..255 (a non-finite value is left to the
-    cloud's finite check, so it still reads as NonFiniteValueError).
-    """
-    needed = count * len(columns)
-    if len(tokens) < needed:
-        raise TruncatedBodyError(f"need {needed} body tokens, have {len(tokens)}")
-    try:
-        values = np.array(tokens[:needed], dtype=np.float64).reshape(count, len(columns))
-    except ValueError as exc:
-        raise CloudFormatError(f"unparseable record: {exc}") from exc
-    uchar = [column for column, (_, code) in enumerate(columns) if code == "u1"]
-    if uchar:
-        block = values[:, uchar]
-        bad = np.isfinite(block) & ~((block >= 0) & (block <= 255) & (np.rint(block) == block))
-        if bad.any():
-            row, column = np.argwhere(bad)[0]
-            raise CloudFormatError(
-                f"uchar property {columns[uchar[column]][0]!r} of record {row} is"
-                f" {block[row, column]:g}, not an integer in 0..255"
-            )
-    table = {}
-    for column, (name, code) in enumerate(columns):
-        col = values[:, column]
-        # "<f4" values are rounded to float32 and widened back, as the files store them
-        table[name] = col.astype(np.float32).astype(np.float64) if code == "<f4" else col
-    return table
-
-
-def _extract_columns(table, count: int, has_color: bool) -> ColoredPointCloud:
-    """The cloud from columns x, y, z and, when has_color, red, green and blue
-    bytes (0-255), read by name from a dict of arrays or a structured array;
-    each column is widened to float64 exactly as it is copied."""
-    xyz = np.empty((count, 3))
-    for axis, name in enumerate(_AXES):
-        xyz[:, axis] = table[name]
-    rgb = np.zeros((count, 3))
-    if has_color:
-        for channel, name in enumerate(_COLOR_NAMES):
-            rgb[:, channel] = table[name]
-        rgb /= 255.0
-    return ColoredPointCloud(xyz, rgb, has_color=has_color)
-
-
-def _parse_ply(data: bytes, fmt: CloudFormat) -> ColoredPointCloud:
-    layout, elements, body_start = _parse_ply_header(data)
-    if layout is not fmt:
-        raise MalformedHeaderError(f"header declares {layout.value}, not {fmt.value}")
-    count, props = _vertex_layout(elements)
-    has_color = all(color in dict(props) for color in _COLOR_NAMES)
-
-    if fmt is CloudFormat.PLY_BINARY_LE:
-        dtype = np.dtype([(name, code) for name, code in props])
-        body = data[body_start:]
-        if len(body) < count * dtype.itemsize:
-            raise TruncatedBodyError(
-                f"need {count * dtype.itemsize} body bytes, have {len(body)}"
-            )
-        records = np.frombuffer(body, dtype=dtype, count=count)
-        # widening a signalling NaN warns; the cloud's finite check decides
-        with np.errstate(invalid="ignore"):
-            return _extract_columns(records, count, has_color)
-
-    table = _read_ascii_records(data[body_start:].split(), count, props)
-    return _extract_columns(table, count, has_color)
+    if fields is None:
+        raise MalformedHeaderError("no vertex element declared")
+    if leading:
+        raise UnsupportedPropertyError("non-empty elements before vertex are not supported")
+    codes = dict(fields)
+    if len(codes) < len(fields):
+        raise MalformedHeaderError("duplicate vertex property")
+    for name, code in fields:
+        if name in _COLOR_NAMES and code != "u1":
+            raise UnsupportedPropertyError(f"color property {name!r} must be uchar")
+    for axis in _AXES:
+        if axis not in codes:
+            raise MalformedHeaderError(f"vertex element lacks property {axis!r}")
+        if codes[axis] == "u1":
+            raise UnsupportedPropertyError(f"coordinate property {axis!r} must be float or double")
+    return layout, count, fields, newline + 1
 
 
 def _write_ply(cloud: ColoredPointCloud, fmt: CloudFormat) -> bytes:
@@ -355,11 +368,14 @@ def _write_ply(cloud: ColoredPointCloud, fmt: CloudFormat) -> bytes:
 # PCD
 
 
-def _pcd_header(data: bytes) -> tuple[dict[str, list[str]], int]:
-    """The PCD header's values by upper-case key, up to and including the
-    DATA line, and the offset after it; only the header is decoded. The walk
-    stops with MalformedHeaderError at the first line that is neither a ``#``
-    comment nor a line of a PCD v0.7 key."""
+def _pcd_header(data: bytes):
+    """The PCD header read and checked: the layout, the point count, the
+    fields as (name, numpy type code) in file order ("<f4" for F 4, "<f8" for
+    any other type), and the offset after the DATA line.
+
+    Only the header is decoded. The walk stops with MalformedHeaderError at
+    the first line that is neither a ``#`` comment nor a line of a PCD v0.7
+    key, so a file that is not a point cloud is rejected at its first line."""
     meta: dict[str, list[str]] = {}
     position = 0
     while "DATA" not in meta and position < len(data):
@@ -369,19 +385,16 @@ def _pcd_header(data: bytes) -> tuple[dict[str, list[str]], int]:
         try:
             text = line.decode("ascii")
         except UnicodeDecodeError as exc:
-            raise MalformedHeaderError("pcd header is not ascii") from exc
+            raise MalformedHeaderError(
+                "unrecognized point-cloud file: pcd header is not ascii") from exc
         key, *values = text.split() or [""]
         if key.startswith("#"):
             continue
         if key.upper() not in ("VERSION", "FIELDS", "SIZE", "TYPE", "COUNT", "WIDTH", "HEIGHT",
                                "VIEWPOINT", "POINTS", "DATA"):
-            raise MalformedHeaderError(f"not a pcd header line: {text[:40]!r}")
+            raise MalformedHeaderError(
+                f"unrecognized point-cloud file: not a pcd header line: {text[:40]!r}")
         meta[key.upper()] = values
-    return meta, position
-
-
-def _parse_pcd(data: bytes) -> ColoredPointCloud:
-    meta, position = _pcd_header(data)  # the body is split as bytes
     for key in ("FIELDS", "SIZE", "TYPE", "POINTS", "DATA"):
         if key not in meta:
             raise MalformedHeaderError(f"pcd header lacks {key}")
@@ -410,26 +423,16 @@ def _parse_pcd(data: bytes) -> ColoredPointCloud:
         except (ValueError, IndexError) as exc:
             raise MalformedHeaderError("unreadable WIDTH/HEIGHT") from exc
 
-    layout = dict(zip(fields, zip(types, sizes)))
+    declared = dict(zip(fields, zip(types, sizes)))
     for axis in _AXES:
-        if axis not in layout:
+        if axis not in declared:
             raise MalformedHeaderError(f"pcd header lacks field {axis!r}")
-        if layout[axis][0] != "F" or layout[axis][1] not in ("4", "8"):
+        if declared[axis][0] != "F" or declared[axis][1] not in ("4", "8"):
             raise UnsupportedPropertyError(f"field {axis!r} must be F4 or F8")
-    has_color = "rgb" in layout
-    if has_color and layout["rgb"] != ("F", "4"):
+    if "rgb" in declared and declared["rgb"] != ("F", "4"):
         raise UnsupportedPropertyError("field 'rgb' must be the packed F4 encoding")
-
-    columns = [(name, "<f4" if layout[name] == ("F", "4") else "<f8") for name in fields]
-    table = _read_ascii_records(data[position:].split(), n_points, columns)
-    if has_color:
-        # the packed float's low 24 bits hold the red, green and blue bytes,
-        # which are finite even when the float read from the file is not
-        require_finite(table["rgb"][:, None], "colors")
-        packed = table["rgb"].astype(np.float32).view(np.uint32)
-        for shift, name in zip((16, 8, 0), _COLOR_NAMES):
-            table[name] = ((packed >> shift) & 0xFF).astype(np.float64)
-    return _extract_columns(table, n_points, has_color)
+    fields = [(name, "<f4" if declared[name] == ("F", "4") else "<f8") for name in fields]
+    return CloudFormat.PCD_ASCII, n_points, fields, position
 
 
 def _write_pcd(cloud: ColoredPointCloud) -> bytes:

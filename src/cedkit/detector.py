@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import coo_array
 
-from .cloud import ColoredPointCloud, frozen_copy, require_integer
+from .cloud import ColoredPointCloud, frozen_copy, require_integer, require_real
 from .cloudio import CloudFormat, format_rows, write_cloud
 from .errors import InvalidParamsError, MisalignedFieldsError, NoColorError
 from .index import _PAIR_BLOCK, NeighborGraph, build_index
@@ -83,16 +83,9 @@ class DetectorParams:
     min_neighbors: int = DEFAULT_MIN_NEIGHBORS
 
     def __post_init__(self):
-        if not 0 < self.radius < np.inf:
-            raise InvalidParamsError(f"radius must be finite and > 0, got {self.radius}")
-        if not 0.0 <= self.geo_threshold <= 1.0:
-            raise InvalidParamsError(
-                f"geometric threshold must be in [0, 1], got {self.geo_threshold}"
-            )
-        if not 0.0 <= self.color_threshold <= 3.0:
-            raise InvalidParamsError(
-                f"color threshold must be in [0, 3], got {self.color_threshold}"
-            )
+        require_real(self.radius, "radius")
+        require_real(self.geo_threshold, "geometric threshold", 0, 1, "[]")
+        require_real(self.color_threshold, "color threshold", 0, 3, "[]")
         if not isinstance(self.mode, DetectorMode):
             raise InvalidParamsError(f"mode must be a DetectorMode, got {self.mode!r}")
         require_integer(self.min_neighbors, "min_neighbors", 1)

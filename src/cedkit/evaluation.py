@@ -50,6 +50,7 @@ from .cloud import (
     add_gaussian_noise,
     apply_rigid_transform,
     require_integer,
+    require_real,
 )
 from .detector import DetectorParams, KeypointSet, detect, prepare, select
 from .errors import InvalidParamsError
@@ -83,10 +84,10 @@ class RepeatabilityConfig:
     trials: int = DEFAULT_TRIALS
 
     def __post_init__(self):
-        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
-            raise InvalidParamsError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.sigma is not None and not 0 <= self.sigma < np.inf:
-            raise InvalidParamsError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if self.epsilon is not None:
+            require_real(self.epsilon, "epsilon")
+        if self.sigma is not None:
+            require_real(self.sigma, "sigma", ends="[)")
         require_integer(self.trials, "trials", 1)
         for name in ("transform_seed", "noise_seed"):
             require_integer(getattr(self, name), name)
@@ -146,8 +147,9 @@ def detect_random(cloud: ColoredPointCloud, count: int, seed: int) -> KeypointSe
     subset is equally likely.
     """
     require_integer(seed, "seed")
+    require_integer(count, "count", 1)
     n = len(cloud)
-    if not 1 <= count <= n:
+    if count > n:
         raise InvalidParamsError(f"count must be in [1, {n}], got {count}")
     rng = np.random.default_rng(seed)
     pool = np.arange(n, dtype=np.int64)

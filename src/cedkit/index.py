@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import ColoredPointCloud
+from .cloud import ColoredPointCloud, require_real
 from .errors import EmptyCloudError, InvalidParamsError
 
 # Candidate radius inflation; guards against last-ulp disagreement between the
@@ -131,8 +131,7 @@ class SpatialIndex:
         core is a per-point mask, None for every point. Each core point keeps
         all its pairs; a point outside it keeps only its pairs to core points.
         """
-        if not (0 < radius < np.inf):
-            raise InvalidParamsError(f"radius must be finite and > 0, got {radius}")
+        require_real(radius, "radius")
         core = np.ones(len(self), dtype=bool) if core is None else np.asarray(core, dtype=bool)
         if core.shape != (len(self),):
             raise InvalidParamsError(f"core must mask {len(self)} points, got shape {core.shape}")

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cloud import ColoredPointCloud, require_integer
+from .cloud import ColoredPointCloud, require_integer, require_real
 from .errors import InvalidParamsError
 
 Color = tuple[float, float, float]
@@ -72,20 +72,16 @@ class SceneSpec:
     def __post_init__(self):
         if not isinstance(self.kind, SceneKind):
             raise InvalidParamsError(f"kind must be a SceneKind, got {self.kind!r}")
-        if not (0 < self.pitch <= self.extent < np.inf):
-            raise InvalidParamsError(
-                f"need 0 < pitch <= extent < inf, got pitch {self.pitch}, extent {self.extent}"
-            )
-        if not (0 < self.tile < np.inf):
-            raise InvalidParamsError(f"tile must be finite and > 0, got {self.tile}")
+        require_real(self.extent, "extent")
+        require_real(self.pitch, "pitch", 0, self.extent, "(]")
+        require_real(self.tile, "tile")
         for name in ("extent", "tile"):
             if not np.isfinite(getattr(self, name) / self.pitch):
                 raise InvalidParamsError(
                     f"{name} / pitch must be finite, got {getattr(self, name)} / {self.pitch}"
                 )
         require_integer(self.seed, "seed")
-        if not 0.0 <= self.jitter < 0.5:
-            raise InvalidParamsError(f"jitter must be in [0, 0.5), got {self.jitter}")
+        require_real(self.jitter, "jitter", 0, 0.5, "[)")
         if self.kind is SceneKind.ROOM_COMPOSITE and int(round(self.extent / self.pitch)) < 2:
             # at one pitch the faces are a floor and a ceiling with no walls
             raise InvalidParamsError(

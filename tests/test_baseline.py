@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cedkit import detect_random
+from cedkit import detect_random, random_detector
 from cedkit.errors import InvalidParamsError
 from oracles import random_colored_cloud
 
@@ -34,6 +34,12 @@ class TestDetectRandom:
             detect_random(cloud, 0, seed=0)
         with pytest.raises(InvalidParamsError):
             detect_random(cloud, 21, seed=0)
+        for count in ("3", 3.0, 3.5, None):
+            with pytest.raises(InvalidParamsError, match="count must be an integer"):
+                detect_random(cloud, count, seed=0)
+        with pytest.raises(InvalidParamsError, match="count must be an integer"):
+            random_detector(3.5, 1)(cloud)
+        assert len(detect_random(cloud, np.int64(3), seed=0)) == 3
 
     def test_negative_seed_rejected(self, rng):
         cloud = random_colored_cloud(rng, 20)

@@ -8,10 +8,14 @@ from cedkit import (
     DetectorParams,
     KeypointSet,
     PreparedCloud,
+    RepeatabilityConfig,
     RigidTransform,
     SaliencyField,
+    SceneKind,
+    SceneSpec,
     add_gaussian_noise,
     apply_rigid_transform,
+    build_index,
     sample_rigid_transform,
 )
 from cedkit.errors import InvalidParamsError, InvalidTransformError, NonFiniteValueError
@@ -192,3 +196,31 @@ class TestValueTypesKeepTheirOwnCopies:
         assert not np.shares_memory(kept, given)
         given[0] = 0
         assert np.array_equal(kept, before)
+
+
+ONE_POINT = ColoredPointCloud(np.zeros((1, 3)), np.zeros((1, 3)))
+# Every real-valued parameter, each set by one call; epsilon and the config's
+# sigma take None for their defaults, so only a string is wrong there.
+REAL_PARAMETERS = {
+    "radius": lambda v: DetectorParams(radius=v),
+    "geo_threshold": lambda v: DetectorParams(radius=0.1, geo_threshold=v),
+    "color_threshold": lambda v: DetectorParams(radius=0.1, color_threshold=v),
+    "epsilon": lambda v: RepeatabilityConfig(epsilon=v),
+    "config-sigma": lambda v: RepeatabilityConfig(sigma=v),
+    "noise-sigma": lambda v: add_gaussian_noise(ONE_POINT, v, 1),
+    "resolution": lambda v: ColoredPointCloud(np.zeros((1, 3)), np.zeros((1, 3)), resolution=v),
+    "extent": lambda v: SceneSpec(kind=SceneKind.PLANE, extent=v),
+    "pitch": lambda v: SceneSpec(kind=SceneKind.PLANE, pitch=v),
+    "tile": lambda v: SceneSpec(kind=SceneKind.PLANE, tile=v),
+    "jitter": lambda v: SceneSpec(kind=SceneKind.PLANE, jitter=v),
+    "graph-radius": lambda v: build_index(ONE_POINT).neighbor_graph(v),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name in REAL_PARAMETERS for value in ("0.1", None)
+    if value is not None or name not in ("epsilon", "config-sigma")
+])
+def test_real_parameter_of_another_type_rejected(name, value):
+    with pytest.raises(InvalidParamsError, match=f"must be .*, got {value!r}"):
+        REAL_PARAMETERS[name](value)

@@ -142,14 +142,28 @@ class TestPlyParse:
             parse_cloud(data[:-8], CloudFormat.PLY_BINARY_LE)
 
     def test_trailing_face_element_ignored(self):
-        data = (
-            b"ply\nformat ascii 1.0\nelement vertex 1\n"
-            b"property float x\nproperty float y\nproperty float z\n"
-            b"element face 1\nproperty uchar red\nend_header\n"
-            b"1 2 3\n0\n"
-        )
-        cloud = parse_cloud(data, CloudFormat.PLY_ASCII)
-        assert len(cloud) == 1
+        # a mesh's faces, with a list property or a type the vertex may not
+        # have, parse as their vertices in either layout
+        trailers = [
+            (b"element face 1\nproperty uchar red\n", b"0\n", b"\x00"),
+            (b"element face 1\nproperty list uchar int vertex_indices\n", b"3 0 0 0\n",
+             b"\x03" + bytes(12)),
+            (b"element face 1\nproperty int flags\n", b"7\n", (7).to_bytes(4, "little")),
+        ]
+        for trailer, ascii_body, binary_body in trailers:
+            for layout, name, body in [
+                (CloudFormat.PLY_ASCII, b"ascii", b"1 2 3\n" + ascii_body),
+                (CloudFormat.PLY_BINARY_LE, b"binary_little_endian",
+                 np.array([1, 2, 3], "<f4").tobytes() + binary_body),
+            ]:
+                data = (
+                    b"ply\nformat " + name + b" 1.0\nelement vertex 1\n"
+                    b"property float x\nproperty float y\nproperty float z\n"
+                    + trailer + b"end_header\n" + body
+                )
+                assert sniff_format(data) is layout
+                cloud = parse_cloud(data, layout)
+                assert cloud.xyz.tolist() == [[1, 2, 3]]
 
 
 class TestWriteAndRoundTrip:
@@ -426,6 +440,22 @@ class TestNonFiniteValues:
         broken = data[: -len(cloud) * 15] + body.tobytes()
         with pytest.raises(NonFiniteValueError):
             parse_cloud(broken, CloudFormat.PLY_BINARY_LE)
+
+    @pytest.mark.parametrize("layout, header, rows, field, record", [
+        (CloudFormat.PLY_ASCII, PLY_THREE_HEADER, b"0 0 0 1 2 3\n1e300 0 0 1 2 3\n0 0 1 1 2 3\n",
+         "x", 1),
+        (CloudFormat.PCD_ASCII, PCD_THREE_HEADER, b"0 0 0 0\n1 0 0 0\n0 1 -1e39 0\n", "z", 2),
+        (CloudFormat.PCD_ASCII, PCD_THREE_HEADER, b"0 0 0 1e300\n1 0 0 0\n0 1 0 0\n", "rgb", 0),
+    ], ids=["ply-x", "pcd-z", "pcd-rgb"])
+    def test_ascii_float_beyond_float32_rejected_typed(self, layout, header, rows, field, record):
+        # a warning here would be an error: the suite turns warnings into failures
+        with pytest.raises(CloudFormatError, match=f"'{field}' of record {record} .*float32") as raised:
+            parse_cloud(header + rows, layout)
+        assert not isinstance(raised.value, NonFiniteValueError)
+
+    def test_ascii_double_beyond_float32_kept(self):
+        data = PLY_THREE_HEADER.replace(b"float x", b"double x") + b"1e300 0 0 1 2 3\n" * 3
+        assert parse_cloud(data, CloudFormat.PLY_ASCII).xyz[0, 0] == 1e300
 
     def test_finite_three_vertex_files_parse(self):
         ply = parse_cloud(PLY_THREE_HEADER + b"0 0 0 1 2 3\n" * 3, CloudFormat.PLY_ASCII)
