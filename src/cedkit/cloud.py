@@ -14,7 +14,7 @@ the index and the detector can rely on it without checking again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,8 +34,8 @@ def require_finite(values: np.ndarray, what: str) -> None:
 
 
 def require_integer(value, name: str, least: int = 0) -> None:
-    """Raise InvalidParamsError unless value is an int or numpy integer >= least."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """Raise InvalidParamsError unless value is an int or numpy integer >= least, not a bool."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
         kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
         raise InvalidParamsError(f"{name} must be {kind}, got {value!r}")
 
@@ -45,14 +45,15 @@ def require_real(value, name: str, low=0, high=np.inf, ends: str = "()") -> None
 
     ends holds the interval's brackets: "(" or ")" for an open end, "[" or "]"
     for a closed one. An interval open up to inf asks for a finite value; a
-    value that does not compare with numbers (a string, None) is rejected.
+    value that does not compare with numbers (a string, None) is rejected, and
+    so is a bool, which compares as 0 or 1 but is not a number.
     """
     try:
         inside = (low < value if ends[0] == "(" else low <= value) and (
             value < high if ends[1] == ")" else value <= high)
     except TypeError:
         inside = False
-    if not inside:
+    if not inside or isinstance(value, (bool, np.bool_)):
         rule = (f"finite and {'>' if ends[0] == '(' else '>='} {low}" if high == np.inf
                 else f"in {ends[0]}{low}, {high}{ends[1]}")
         raise InvalidParamsError(f"{name} must be {rule}, got {value!r}")
@@ -146,9 +147,7 @@ def apply_rigid_transform(cloud: ColoredPointCloud, transform: RigidTransform) -
     """Map geometry through R @ g + t; colors and point order are untouched."""
     if not isinstance(transform, RigidTransform):
         raise InvalidTransformError("transform must be a RigidTransform")
-    return ColoredPointCloud(
-        transform.apply(cloud.xyz), cloud.rgb, cloud.resolution, cloud.has_color
-    )
+    return replace(cloud, xyz=transform.apply(cloud.xyz))
 
 
 def add_gaussian_noise(cloud: ColoredPointCloud, sigma: float, seed: int) -> ColoredPointCloud:
@@ -165,6 +164,4 @@ def add_gaussian_noise(cloud: ColoredPointCloud, sigma: float, seed: int) -> Col
         return cloud
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=cloud.xyz.shape)
-    return ColoredPointCloud(
-        cloud.xyz + noise, cloud.rgb, cloud.resolution, cloud.has_color
-    )
+    return replace(cloud, xyz=cloud.xyz + noise)

@@ -50,7 +50,6 @@ import numpy as np
 from .cloud import ColoredPointCloud, require_finite
 from .errors import (
     CloudFormatError,
-    EmptyCloudError,
     InvalidParamsError,
     MalformedHeaderError,
     TruncatedBodyError,
@@ -116,13 +115,11 @@ def parse_cloud(data: bytes, fmt: CloudFormat) -> ColoredPointCloud:
 
 
 def write_cloud(cloud: ColoredPointCloud, fmt: CloudFormat) -> bytes:
-    """Serialize a non-empty cloud; parse_cloud(write_cloud(c, f), f) round-trips.
+    """Serialize a cloud; parse_cloud(write_cloud(c, f), f) round-trips.
 
-    Raises EmptyCloudError for an empty cloud and InvalidParamsError for a
-    coordinate that overflows float32.
+    An empty cloud is written as a header that declares 0 records. Raises
+    InvalidParamsError for a coordinate that overflows float32.
     """
-    if len(cloud) == 0:
-        raise EmptyCloudError("refusing to write an empty cloud")
     if fmt in (CloudFormat.PLY_ASCII, CloudFormat.PLY_BINARY_LE):
         return _write_ply(cloud, fmt)
     if fmt is CloudFormat.PCD_ASCII:
@@ -247,16 +244,17 @@ def _records(cloud: ColoredPointCloud) -> np.ndarray:
 _BLOCK_ROWS = 16_384
 
 
-def format_rows(columns: list[np.ndarray], line: str) -> str:
-    """Equal-length 1-D columns as text, one line per row.
+def format_rows(columns: list, sep: str) -> str:
+    """Equal-length 1-D columns as text, one line per row, values joined by sep.
 
-    line is the printf-style format of one row: one conversion per column,
-    newline included (say ``"%.9g %.9g %.9g %d\\n"``). Each block of rows is
-    formatted by a single ``%`` on the block's values as one flat tuple, so
-    every value prints exactly as formatting it alone would. Integer columns
-    reach '%d' as Python ints, float columns '%.9g' as Python floats; 9
-    significant digits uniquely identify a float32.
+    The one number format of every text output: a column of integers (color
+    bytes, indices, counts) prints as '%d', any other as '%.9g'; 9 significant
+    digits uniquely identify a float32. Each block of rows is formatted by a
+    single ``%`` on the block's values as one flat tuple, so every value
+    prints exactly as formatting it alone would.
     """
+    columns = [np.asarray(column) for column in columns]
+    line = sep.join("%d" if column.dtype.kind in "iu" else "%.9g" for column in columns) + "\n"
     n, width = len(columns[0]), len(columns)
     blocks = []
     for start in range(0, n, _BLOCK_ROWS):
@@ -360,8 +358,7 @@ def _write_ply(cloud: ColoredPointCloud, fmt: CloudFormat) -> bytes:
     header = ("\n".join(lines) + "\nend_header\n").encode("ascii")
     if binary:
         return header + records.tobytes()
-    line = " ".join("%.9g" if name in _AXES else "%d" for name in names) + "\n"
-    return header + format_rows([records[name] for name in names], line).encode("ascii")
+    return header + format_rows([records[name] for name in names], " ").encode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -456,5 +453,4 @@ def _write_pcd(cloud: ColoredPointCloud) -> bytes:
         f"POINTS {len(records)}",
         "DATA ascii\n",
     ])
-    body = format_rows(columns, " ".join(["%.9g"] * len(fields)) + "\n")
-    return (header + body).encode("ascii")
+    return (header + format_rows(columns, " ")).encode("ascii")

@@ -431,16 +431,10 @@ def export_keypoints_csv(
         geometric.values[idx] if geometric is not None else absent,
         photometric.values[idx] if photometric is not None else absent,
     ]
-    line = "%d," + ",".join(["%.9g"] * 8) + "\n"
-    return "index,x,y,z,r,g,b,d_g,d_c\n" + format_rows(columns, line)
+    return "index,x,y,z,r,g,b,d_g,d_c\n" + format_rows(columns, ",")
 
 
 def export_keypoints_ply(cloud: ColoredPointCloud, keypoints: KeypointSet) -> bytes:
     """The selected points as a standalone ASCII PLY file."""
-    subset = ColoredPointCloud(
-        cloud.xyz[keypoints.indices],
-        cloud.rgb[keypoints.indices],
-        cloud.resolution,
-        cloud.has_color,
-    )
+    subset = replace(cloud, xyz=cloud.xyz[keypoints.indices], rgb=cloud.rgb[keypoints.indices])
     return write_cloud(subset, CloudFormat.PLY_ASCII)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from statistics import mean, median
 from typing import Callable, Sequence
 
@@ -52,6 +52,7 @@ from .cloud import (
     require_integer,
     require_real,
 )
+from .cloudio import format_rows
 from .detector import DetectorParams, KeypointSet, detect, prepare, select
 from .errors import InvalidParamsError
 from .index import _CANDIDATE_SLACK
@@ -121,6 +122,8 @@ class RuntimeStats:
 
 @dataclass(frozen=True)
 class AblationRow:
+    """One row of a threshold sweep; ablation_csv prints the fields in this order."""
+
     geo_threshold: float
     color_threshold: float
     keypoint_count: int
@@ -246,8 +249,7 @@ def _subcloud(cloud: ColoredPointCloud, indices: np.ndarray) -> ColoredPointClou
     """The cloud's points at ascending indices; the cloud itself when that is all of them."""
     if len(indices) == len(cloud):
         return cloud
-    return ColoredPointCloud(cloud.xyz[indices], cloud.rgb[indices], cloud.resolution,
-                             cloud.has_color)
+    return replace(cloud, xyz=cloud.xyz[indices], rgb=cloud.rgb[indices])
 
 
 def _sample_transforms(config: RepeatabilityConfig) -> list[RigidTransform]:
@@ -415,33 +417,21 @@ def ablation_sweep(
 
 
 def repeatability_csv(report: RepeatabilityReport) -> str:
-    header = "total_keypoints,repeatable_keypoints,relative_repeatability,detect_time_seconds"
-    row = (
-        f"{report.total_keypoints},{report.repeatable_keypoints:.9g},"
-        f"{report.relative_repeatability:.9g},{report.detect_time_seconds:.9g}"
-    )
-    return header + "\n" + row + "\n"
+    names = ["total_keypoints", "repeatable_keypoints", "relative_repeatability",
+             "detect_time_seconds"]
+    return ",".join(names) + "\n" + format_rows([[getattr(report, name)] for name in names], ",")
 
 
 def runtime_csv(stats: RuntimeStats) -> str:
-    header = "mean_seconds,median_seconds,min_seconds,repetitions"
-    row = (
-        f"{stats.mean_seconds:.9g},{stats.median_seconds:.9g},"
-        f"{stats.min_seconds:.9g},{len(stats.samples)}"
-    )
-    return header + "\n" + row + "\n"
+    columns = [[stats.mean_seconds], [stats.median_seconds], [stats.min_seconds],
+               [len(stats.samples)]]
+    return "mean_seconds,median_seconds,min_seconds,repetitions\n" + format_rows(columns, ",")
 
 
 def ablation_csv(rows: Sequence[AblationRow], config: RepeatabilityConfig) -> str:
-    lines = [
-        f"# sigma={config.sigma if config.sigma is not None else 'default'}"
-        f" epsilon={config.epsilon if config.epsilon is not None else 'default'}"
-        f" trials={config.trials}",
-        "t_g,t_c,keypoint_count,repeatability,runtime_seconds",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.geo_threshold:.9g},{row.color_threshold:.9g},"
-            f"{row.keypoint_count},{row.repeatability:.9g},{row.runtime_seconds:.9g}"
-        )
-    return "\n".join(lines) + "\n"
+    comment = (f"# sigma={config.sigma if config.sigma is not None else 'default'}"
+               f" epsilon={config.epsilon if config.epsilon is not None else 'default'}"
+               f" trials={config.trials}")
+    columns = [[getattr(row, field.name) for row in rows] for field in fields(AblationRow)]
+    return (comment + "\nt_g,t_c,keypoint_count,repeatability,runtime_seconds\n"
+            + format_rows(columns, ","))

@@ -163,6 +163,16 @@ class TestDetect:
         keys = parse_cloud(out.read_bytes(), CloudFormat.PLY_ASCII)
         assert len(keys) > 0
 
+    def test_zero_keypoints_write_as_csv_and_ply(self, plane_ply, tmp_path):
+        csv, ply = tmp_path / "keys.csv", tmp_path / "keys.ply"
+        args = ["detect", "-i", str(plane_ply), "--tg", "1", "--tc", "3", "-o"]
+        assert main(args + [str(csv)]) == 0
+        assert csv.read_text() == "index,x,y,z,r,g,b,d_g,d_c\n"
+        assert main(args + [str(ply)]) == 0
+        keys = parse_cloud(ply.read_bytes(), CloudFormat.PLY_ASCII)
+        assert len(keys) == 0
+        assert keys.has_color
+
     def test_random_mode(self, plane_ply, tmp_path):
         out = tmp_path / "keys.csv"
         code = main(["detect", "-i", str(plane_ply), "--mode", "random",

@@ -218,9 +218,9 @@ REAL_PARAMETERS = {
 
 
 @pytest.mark.parametrize("name, value", [
-    (name, value) for name in REAL_PARAMETERS for value in ("0.1", None)
+    (name, value) for name in REAL_PARAMETERS for value in ("0.1", None, True, np.True_)
     if value is not None or name not in ("epsilon", "config-sigma")
-])
+], ids=lambda value: "np.True_" if value is np.True_ else None)
 def test_real_parameter_of_another_type_rejected(name, value):
     with pytest.raises(InvalidParamsError, match=f"must be .*, got {value!r}"):
         REAL_PARAMETERS[name](value)

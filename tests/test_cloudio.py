@@ -9,7 +9,6 @@ import pytest
 
 from cedkit import CloudFormat, ColoredPointCloud, cloudio, parse_cloud, sniff_format, write_cloud
 from cedkit.errors import (
-    EmptyCloudError,
     CedkitError,
     CloudFormatError,
     InvalidParamsError,
@@ -210,10 +209,15 @@ class TestWriteAndRoundTrip:
             assert not parsed.has_color
             assert np.array_equal(parsed.xyz, cloud.xyz)
 
-    def test_empty_cloud_rejected(self):
-        cloud = ColoredPointCloud(np.zeros((0, 3)), np.zeros((0, 3)))
-        with pytest.raises(EmptyCloudError):
-            write_cloud(cloud, CloudFormat.PLY_ASCII)
+    @pytest.mark.parametrize("fmt", list(CloudFormat))
+    @pytest.mark.parametrize("has_color", [True, False])
+    def test_empty_cloud_round_trip(self, fmt, has_color):
+        cloud = ColoredPointCloud(np.zeros((0, 3)), np.zeros((0, 3)), has_color=has_color)
+        data = write_cloud(cloud, fmt)
+        assert sniff_format(data) is fmt
+        parsed = parse_cloud(data, fmt)
+        assert len(parsed) == 0
+        assert parsed.has_color == has_color
 
     @pytest.mark.parametrize("fmt", list(CloudFormat))
     @pytest.mark.parametrize("has_color", [True, False])
@@ -286,6 +290,23 @@ class TestAsciiRecords:
         for cloud in clouds:
             text = write_cloud(cloud, fmt).decode("ascii")
             assert text.split(end_of_header, 1)[1] == per_value_body(cloud, fmt)
+
+
+class TestFormatRows:
+    def test_conversion_follows_each_columns_dtype(self):
+        # integers of 10 digits and more tell '%d' from '%.9g'
+        columns = [np.array([0, 255], dtype=np.uint8), np.array([-3, 2**40], dtype=np.int64),
+                   np.array([1, 2**32 - 1], dtype=np.uint32),
+                   np.array([0.1, -0.0], dtype=np.float32), np.array([1 / 3, 1e300])]
+        assert cloudio.format_rows(columns, " ") == (
+            "0 -3 1 0.100000001 0.333333333\n255 1099511627776 4294967295 -0 1e+300\n")
+
+    def test_python_values_take_their_columns_dtype(self):
+        assert cloudio.format_rows([[7], [0.5]], ",") == "7,0.5\n"
+        assert cloudio.format_rows([[2, 2.5], [1, 3]], ";") == "2;1\n2.5;3\n"
+
+    def test_no_rows(self):
+        assert cloudio.format_rows([np.zeros(0, dtype=np.uint8), np.zeros(0)], ",") == ""
 
 
 class TestWrittenBytes:

@@ -75,7 +75,7 @@ class TestDetectorParams:
         with pytest.raises(InvalidParamsError):
             DetectorParams(radius=0.0)
 
-    @pytest.mark.parametrize("value", [2.5, 5.0, "5", None])
+    @pytest.mark.parametrize("value", [2.5, 5.0, "5", None, True])
     def test_min_neighbors_must_be_an_integer(self, value):
         with pytest.raises(InvalidParamsError, match="min_neighbors must be an integer >= 1"):
             DetectorParams(radius=0.1, min_neighbors=value)

@@ -30,7 +30,15 @@ from cedkit import (
     sample_rigid_transform,
 )
 from cedkit.errors import InvalidParamsError
-from cedkit.evaluation import ablation_csv, count_matches, repeatability_csv, runtime_csv
+from cedkit.evaluation import (
+    AblationRow,
+    RepeatabilityReport,
+    RuntimeStats,
+    ablation_csv,
+    count_matches,
+    repeatability_csv,
+    runtime_csv,
+)
 from oracles import exact_tie_pairs, random_colored_cloud, repeatable_count_brute_force
 
 
@@ -55,12 +63,12 @@ class TestRepeatabilityConfig:
         with pytest.raises(InvalidParamsError):
             RepeatabilityConfig(trials=0)
         for seed in ("transform_seed", "noise_seed"):
-            for value in (-1, 1.5, 2.0, "3", None):
+            for value in (-1, 1.5, 2.0, "3", None, True):
                 with pytest.raises(InvalidParamsError, match="non-negative integer"):
                     RepeatabilityConfig(**{seed: value})
             RepeatabilityConfig(**{seed: np.int64(3)})
 
-    @pytest.mark.parametrize("value", [1.5, 2.0, "3", None])
+    @pytest.mark.parametrize("value", [1.5, 2.0, "3", None, True])
     def test_trials_must_be_an_integer(self, value):
         with pytest.raises(InvalidParamsError, match="trials must be an integer >= 1"):
             RepeatabilityConfig(trials=value)
@@ -367,7 +375,7 @@ class TestMeasureRuntime:
         with pytest.raises(InvalidParamsError):
             measure_runtime(cloud, ced_detector(DetectorParams(radius=0.3)), repetitions=2)
 
-    @pytest.mark.parametrize("value", [3.5, 4.0, "3", None])
+    @pytest.mark.parametrize("value", [3.5, 4.0, "3", None, True])
     def test_repetitions_must_be_an_integer(self, rng, value):
         cloud = random_colored_cloud(rng, 10)
         with pytest.raises(InvalidParamsError, match="repetitions must be an integer >= 3"):
@@ -440,7 +448,57 @@ class TestAblationSweep:
         ]
 
 
+def reference_rows(rows, kinds):
+    """A stored copy of report rows as formatted one value at a time: a "d"
+    column (a count) as an integer, a "g" column (a measure) with '.9g'."""
+    return "".join(
+        ",".join(f"{value}" if kind == "d" else f"{value:.9g}" for value, kind in zip(row, kinds))
+        + "\n" for row in rows)
+
+
 class TestCsvRenderers:
+    def test_repeatability_csv_equals_per_value_reference(self, rng):
+        cloud = random_colored_cloud(rng, 200)
+        measured = evaluate_repeatability(
+            cloud, ced_detector(DetectorParams(radius=0.25)),
+            RepeatabilityConfig(sigma=0.01, trials=3))
+        perfect = RepeatabilityReport(7, 7.0, 1.0, 0.0123456789012, 1)
+        empty = RepeatabilityReport(0, 0.0, 0, 2.5e-5, 1, empty_keypoint_set=True)
+        for report in (measured, perfect, empty):
+            row = (report.total_keypoints, report.repeatable_keypoints,
+                   report.relative_repeatability, report.detect_time_seconds)
+            assert repeatability_csv(report) == (
+                "total_keypoints,repeatable_keypoints,relative_repeatability,detect_time_seconds\n"
+                + reference_rows([row], "dggg"))
+        assert repeatability_csv(perfect).splitlines()[1] == "7,7,1,0.0123456789"
+        assert repeatability_csv(empty).splitlines()[1] == "0,0,0,2.5e-05"
+
+    def test_runtime_csv_equals_per_value_reference(self, rng):
+        cloud = random_colored_cloud(rng, 30)
+        measured = measure_runtime(cloud, ced_detector(DetectorParams(radius=0.3)), 3)
+        thirds = RuntimeStats(1 / 3, 0.25, 1e-7, (1 / 3, 0.25, 1e-7, 0.75))
+        for stats in (measured, thirds):
+            row = (stats.mean_seconds, stats.median_seconds, stats.min_seconds, len(stats.samples))
+            assert runtime_csv(stats) == (
+                "mean_seconds,median_seconds,min_seconds,repetitions\n"
+                + reference_rows([row], "gggd"))
+        assert runtime_csv(thirds).splitlines()[1] == "0.333333333,0.25,1e-07,4"
+
+    def test_ablation_csv_equals_per_value_reference(self, rng):
+        cloud = random_colored_cloud(rng, 100)
+        config = RepeatabilityConfig(sigma=0.0, trials=2)
+        swept = ablation_sweep(cloud, [0.2, 0.4], [0.1, 0.3], DetectorParams(radius=0.3), config)
+        # thresholds held as Python ints print as the floats they stand for
+        integral = [AblationRow(0, 1, 5, 0.5, 0.125), AblationRow(1, 3, 0, 0.0, 2.0)]
+        for rows in (swept, integral, []):
+            table = [(row.geo_threshold, row.color_threshold, row.keypoint_count,
+                      row.repeatability, row.runtime_seconds) for row in rows]
+            assert ablation_csv(rows, config) == (
+                "# sigma=0.0 epsilon=default trials=2\n"
+                "t_g,t_c,keypoint_count,repeatability,runtime_seconds\n"
+                + reference_rows(table, "ggdgg"))
+        assert ablation_csv(integral, config).splitlines()[2:] == ["0,1,5,0.5,0.125", "1,3,0,0,2"]
+
     def test_repeatability_csv(self, rng):
         cloud = random_colored_cloud(rng, 200)
         report = evaluate_repeatability(
