@@ -35,7 +35,6 @@ from .evaluation import (
     RepeatabilityReport,
     RuntimeStats,
     ablation_sweep,
-    ced_detector,
     detect_random,
     evaluate_repeatability,
     measure_runtime,
@@ -67,7 +66,6 @@ __all__ = [
     "add_gaussian_noise",
     "apply_rigid_transform",
     "build_index",
-    "ced_detector",
     "detect",
     "detect_random",
     "detect_with_fields",

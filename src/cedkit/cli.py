@@ -40,8 +40,6 @@ from .evaluation import (
     RepeatabilityConfig,
     ablation_csv,
     ablation_sweep,
-    ced_detector,
-    detect_random,
     evaluate_repeatability,
     measure_runtime,
     random_detector,
@@ -99,6 +97,15 @@ def _add_detector_flags(parser, sweep=False):
                         help="non-negative integer seed or 'random' (default %(default)s)")
 
 
+def _add_evaluation_flags(parser, **sigma):
+    """--epsilon, --sigma and --trials; sigma holds --sigma's default and help."""
+    parser.add_argument("--epsilon", type=float, default=None,
+                        help="match radius in meters (default 2 x resolution)")
+    parser.add_argument("--sigma", type=float, **sigma)
+    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                        help="number of random transforms (default %(default)s)")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parse_args leaves it unchanged."""
@@ -117,21 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_repeat = sub.add_parser("repeat", help="repeatability under rigid motion")
     _add_input_flags(p_repeat)
     _add_detector_flags(p_repeat)
-    p_repeat.add_argument("--epsilon", type=float, default=None,
-                          help="match radius in meters (default 2 x resolution)")
-    p_repeat.add_argument("--sigma", type=float, default=None,
+    _add_evaluation_flags(p_repeat, default=None,
                           help="noise sigma in meters (default 0.5 x resolution)")
-    p_repeat.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                          help="number of random transforms (default %(default)s)")
     p_repeat.add_argument("-o", "--output", default=None, help="report CSV path")
 
     p_ablate = sub.add_parser("ablate", help="threshold sweep")
     _add_input_flags(p_ablate)
     _add_detector_flags(p_ablate, sweep=True)
-    p_ablate.add_argument("--epsilon", type=float, default=None)
-    p_ablate.add_argument("--sigma", type=float, default=0.0,
+    _add_evaluation_flags(p_ablate, default=0.0,
                           help="noise sigma for sweep rows (default %(default)s)")
-    p_ablate.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p_ablate.add_argument("--tg", dest="tg_values", type=_parse_float_list,
                           default=str(DEFAULT_GEO_THRESHOLD),
                           help="comma-separated geometric thresholds (default %(default)s)")
@@ -189,7 +190,7 @@ def _effective_seed(seed: int | None) -> int:
 def _detector_for(args, cloud: ColoredPointCloud):
     if args.mode == "random":
         return random_detector(args.count, _effective_seed(args.seed))
-    return ced_detector(_detector_params(args, cloud))
+    return _detector_params(args, cloud)
 
 
 def _emit(text: str, output: str | None):
@@ -201,12 +202,12 @@ def _emit(text: str, output: str | None):
 
 def _cmd_detect(args) -> int:
     cloud = _load_cloud(args)
-    if args.mode == "random":
-        keys = detect_random(cloud, args.count, _effective_seed(args.seed))
-        geo = photo = None
-    else:
-        result = detect_with_fields(cloud, _detector_params(args, cloud))
+    detector = _detector_for(args, cloud)
+    if isinstance(detector, DetectorParams):
+        result = detect_with_fields(cloud, detector)
         keys, geo, photo = result.keypoints, result.geometric, result.photometric
+    else:
+        keys, geo, photo = detector(cloud), None, None
     logger.info("detected %d keypoints in %d points", len(keys), len(cloud))
     if args.output and args.output.lower().endswith(".ply"):
         Path(args.output).write_bytes(export_keypoints_ply(cloud, keys))

@@ -43,6 +43,7 @@ scope.
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from enum import Enum
 
 import numpy as np
@@ -162,25 +163,30 @@ def _read_records(data: bytes, start: int, count: int, fields, layout: CloudForm
         values = np.array(tokens[:needed], dtype=np.float64).reshape(count, len(fields))
     except ValueError as exc:
         raise CloudFormatError(f"unparseable record: {exc}") from exc
-    table, bad = {}, np.zeros(values.shape, dtype=bool)
+    single = [column for column, (_, code) in enumerate(fields) if code == "<f4"]
+    uchar = [column for column, (_, code) in enumerate(fields) if code == "u1"]
+    block = values[:, uchar]
+    # a non-finite value is left to the cloud's finite check
+    fits = (block >= 0) & (block <= 255) & (np.rint(block) == block) | ~np.isfinite(block)
+    if fits.all():
+        # a float32 overflow leaves this block for the search below
+        with suppress(FloatingPointError), np.errstate(over="raise"):
+            # "<f4" values are rounded to float32 and widened back, as the files store them
+            return {name: values[:, column].astype(np.float32).astype(np.float64)
+                    if code == "<f4" else values[:, column]
+                    for column, (name, code) in enumerate(fields)}
+    # the first bad value in record order
+    bad = np.zeros(values.shape, dtype=bool)
+    bad[:, uchar] = ~fits
     with np.errstate(over="ignore"):
-        for column, (name, code) in enumerate(fields):
-            value = table[name] = values[:, column]
-            if code == "<f4":
-                # rounded to float32 and widened back, as the files store them
-                table[name] = value.astype(np.float32).astype(np.float64)
-                bad[:, column] = np.isinf(table[name])
-            elif code == "u1":
-                bad[:, column] = ~((value >= 0) & (value <= 255) & (np.rint(value) == value))
+        bad[:, single] = np.isinf(values[:, single].astype(np.float32))
     bad &= np.isfinite(values)
-    if bad.any():
-        row, column = np.argwhere(bad)[0]
-        name, code = fields[column]
-        kind, rule = (("uchar", "not an integer in 0..255") if code == "u1"
-                      else ("float", "beyond float32's range"))
-        raise CloudFormatError(
-            f"{kind} property {name!r} of record {row} is {values[row, column]:g}, {rule}")
-    return table
+    row, column = np.argwhere(bad)[0]
+    name, code = fields[column]
+    kind, rule = (("uchar", "not an integer in 0..255") if code == "u1"
+                  else ("float", "beyond float32's range"))
+    raise CloudFormatError(
+        f"{kind} property {name!r} of record {row} is {values[row, column]:g}, {rule}")
 
 
 def _cloud(table, fields, layout: CloudFormat) -> ColoredPointCloud:

@@ -6,8 +6,8 @@ and count a source keypoint as repeated when its transformed position has a
 detected keypoint strictly within epsilon in the copy. Matching is
 one-directional; several source keypoints may share one match.
 
-A "detector" here is any deterministic callable from a cloud to a
-KeypointSet; factories for the bundled detectors are provided below.
+A detector is either DetectorParams, which runs CED, or any deterministic
+callable from a cloud to a KeypointSet, such as random_detector's.
 
 Copies are detected only where matching looks. Matching reads only copy
 keypoints strictly within epsilon of a moved source keypoint, a center. The
@@ -20,8 +20,8 @@ keeps only the pairs with an end in the core, the points within epsilon + r
 Every keypoint that matching can see is then decided as on the whole copy;
 points outside the core get partial sums and are never selected, and no
 decision that matching reads depends on them. An empty window scores 0 without detection. A
-detector without params (the random baseline, user callables) gets the
-whole copy. Caveat: the window's trees list the neighbor pairs in another
+callable detector (the random baseline, a user's function) gets the whole
+copy. Caveat: the window's trees list the neighbor pairs in another
 order, so a decision that rests on the last ulp of a centroid may go either
 way, as with any change of tree layout.
 
@@ -129,16 +129,6 @@ class AblationRow:
     keypoint_count: int
     repeatability: float
     runtime_seconds: float
-
-
-def ced_detector(params: DetectorParams) -> Detector:
-    """Detector callable with fixed parameters, exposed as its ``params`` attribute."""
-
-    def run(cloud: ColoredPointCloud) -> KeypointSet:
-        return detect(cloud, params)
-
-    run.params = params
-    return run
 
 
 def detect_random(cloud: ColoredPointCloud, count: int, seed: int) -> KeypointSet:
@@ -252,13 +242,18 @@ def _subcloud(cloud: ColoredPointCloud, indices: np.ndarray) -> ColoredPointClou
     return replace(cloud, xyz=cloud.xyz[indices], rgb=cloud.rgb[indices])
 
 
+def _check_detector(detector: DetectorParams | Detector) -> None:
+    if not (isinstance(detector, DetectorParams) or callable(detector)):
+        raise InvalidParamsError(f"detector must be DetectorParams or a callable, got {detector!r}")
+
+
 def _sample_transforms(config: RepeatabilityConfig) -> list[RigidTransform]:
     rng = np.random.default_rng(config.transform_seed)
     return [sample_rigid_transform(rng) for _ in range(config.trials)]
 
 
 def _trials(cloud: ColoredPointCloud, sources: Sequence[KeypointSet],
-            grid: Sequence[DetectorParams], detector: Detector | None,
+            grid: Sequence[DetectorParams], detector: DetectorParams | Detector | None,
             config: RepeatabilityConfig, transforms: Sequence[RigidTransform]) -> list[list[float]]:
     """Each source's share of matched keypoints per trial, one list per source.
 
@@ -302,7 +297,7 @@ def _trials(cloud: ColoredPointCloud, sources: Sequence[KeypointSet],
 
 def evaluate_repeatability(
     cloud: ColoredPointCloud,
-    detector: Detector,
+    detector: DetectorParams | Detector,
     config: RepeatabilityConfig = RepeatabilityConfig(),
     transforms: Sequence[RigidTransform] | None = None,
 ) -> RepeatabilityReport:
@@ -313,24 +308,26 @@ def evaluate_repeatability(
     transform_seed. Noise uses a fresh seed per trial, derived as
     noise_seed + trial index.
 
-    A detector with ``params`` (ced_detector's) prepares each copy on its
-    window and core only, and its keypoints map back through the window's
-    indices; the ratios are those of whole-copy detection (module
-    docstring). An empty window scores 0. Other detectors get the whole copy.
+    DetectorParams run CED: the source is detected with detect, each copy
+    is prepared on its window and core only, and its keypoints map back
+    through the window's indices; the ratios are those of whole-copy
+    detection (module docstring). An empty window scores 0. A callable
+    gets the whole copy. Anything else raises InvalidParamsError.
     """
+    _check_detector(detector)
     if transforms is None:
         transforms = _sample_transforms(config)
     if len(transforms) == 0:
         raise InvalidParamsError("transforms must hold at least one transform")
-    params = getattr(detector, "params", None)
+
+    grid = [detector] if isinstance(detector, DetectorParams) else []
 
     start = time.perf_counter()
-    source_keys = detector(cloud)
+    source_keys = detect(cloud, detector) if grid else detector(cloud)
     detect_time = time.perf_counter() - start
 
     total = len(source_keys)
-    [ratios] = _trials(cloud, [source_keys], [] if params is None else [params], detector,
-                       config, transforms)
+    [ratios] = _trials(cloud, [source_keys], grid, detector, config, transforms)
 
     relative = mean(ratios)
     return RepeatabilityReport(
@@ -345,17 +342,19 @@ def evaluate_repeatability(
 
 
 def measure_runtime(
-    cloud: ColoredPointCloud, detector: Detector, repetitions: int = 5
+    cloud: ColoredPointCloud, detector: DetectorParams | Detector, repetitions: int = 5
 ) -> RuntimeStats:
     """Wall-clock seconds per detector run, sequentially, index build included.
 
-    repetitions: an integer >= 3.
+    DetectorParams run detect on the cloud; a callable is called on it.
+    Anything else raises InvalidParamsError. repetitions: an integer >= 3.
     """
+    _check_detector(detector)
     require_integer(repetitions, "repetitions", 3)
     samples = []
     for _ in range(repetitions):
         start = time.perf_counter()
-        detector(cloud)
+        detect(cloud, detector) if isinstance(detector, DetectorParams) else detector(cloud)
         samples.append(time.perf_counter() - start)
     return RuntimeStats(mean(samples), median(samples), min(samples), tuple(samples))
 

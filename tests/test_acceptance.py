@@ -22,7 +22,6 @@ from cedkit import (
     SceneSpec,
     apply_rigid_transform,
     build_index,
-    ced_detector,
     detect,
     detect_random,
     evaluate_repeatability,
@@ -92,7 +91,7 @@ def test_criterion_1_algorithm_oracle_equivalence():
 
 def test_criterion_2_rigid_invariance(room):
     config = RepeatabilityConfig(sigma=0.0, epsilon=0.02, trials=10, transform_seed=11)
-    result = evaluate_repeatability(room, ced_detector(ROOM_PARAMS), config)
+    result = evaluate_repeatability(room, ROOM_PARAMS, config)
     assert result.total_keypoints > 0
     assert result.relative_repeatability >= 0.95
 
@@ -126,7 +125,7 @@ def test_criterion_3_noise_robustness_ordering(room):
     config = RepeatabilityConfig(
         sigma=0.005, epsilon=0.02, trials=10, transform_seed=11, noise_seed=500
     )
-    ced = evaluate_repeatability(room, ced_detector(ROOM_PARAMS), config)
+    ced = evaluate_repeatability(room, ROOM_PARAMS, config)
     matched_count = ced.total_keypoints
     random_baseline = evaluate_repeatability(
         room, random_detector(count=matched_count, seed=99), config
@@ -180,7 +179,7 @@ def test_criterion_5_runtime_envelope():
     assert 90_000 <= len(scene) <= 110_000
     reference = json.loads((DATA_DIR / "runtime_reference.json").read_text())
     params = DetectorParams(radius=0.04)
-    stats = measure_runtime(scene, ced_detector(params), repetitions=5)
+    stats = measure_runtime(scene, params, repetitions=5)
     assert stats.mean_seconds <= 2.0
     assert stats.mean_seconds <= 3.0 * reference["mean_seconds"]
     report(
@@ -242,7 +241,7 @@ def test_criterion_8_repeatability_identity():
     rng = np.random.default_rng(31)
     cloud = random_colored_cloud(rng, 400)
     detectors = [
-        ced_detector(DetectorParams(radius=0.25)),
+        DetectorParams(radius=0.25),
         lambda c: detect_random(c, 25, seed=3),
     ]
     for detector in detectors:

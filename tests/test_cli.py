@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cedkit
-from cedkit import CloudFormat, detect, parse_cloud, DetectorParams
+from cedkit import CloudFormat, detect, detect_random, parse_cloud, DetectorParams
 from cedkit.cli import build_parser, main
 from cedkit.detector import (
     DEFAULT_COLOR_THRESHOLD,
@@ -179,6 +179,9 @@ class TestDetect:
                      "--count", "25", "--seed", "3", "-o", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 26
+        cloud = parse_cloud(plane_ply.read_bytes(), CloudFormat.PLY_ASCII)
+        got = [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        assert got == detect_random(cloud, 25, 3).indices.tolist()
 
     def test_seed_random_opts_into_entropy(self, plane_ply, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -406,6 +409,14 @@ class TestAblate:
         assert len(lines) == 2 + 5
         counts = [int(line.split(",")[2]) for line in lines[2:]]
         assert counts == sorted(counts, reverse=True)
+
+    def test_help_describes_evaluation_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["ablate", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--epsilon EPSILON match radius in meters (default 2 x resolution)" in help_text
+        assert "--sigma SIGMA noise sigma for sweep rows (default 0.0)" in help_text
+        assert "--trials TRIALS number of random transforms (default 10)" in help_text
 
     @pytest.mark.parametrize(
         "flags, message",

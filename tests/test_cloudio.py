@@ -474,6 +474,18 @@ class TestNonFiniteValues:
             parse_cloud(header + rows, layout)
         assert not isinstance(raised.value, NonFiniteValueError)
 
+    @pytest.mark.parametrize("rows, message", [
+        (b"0 0 0 1 300 3\n1e300 0 0 1 2 3\n0 0 0 1 2 3\n",
+         "uchar property 'green' of record 0 is 300, not an integer in 0..255"),
+        (b"0 0 0 1 2 3\n0 0 1e300 1 2 3\n0 0 0 1.5 2 3\n",
+         "float property 'z' of record 1 is 1e+300, beyond float32's range"),
+    ], ids=["uchar-first", "float-first"])
+    def test_ascii_earliest_bad_record_named(self, rows, message):
+        # either kind of bad value may come first; the error names the earlier record
+        with pytest.raises(CloudFormatError) as raised:
+            parse_cloud(PLY_THREE_HEADER + rows, CloudFormat.PLY_ASCII)
+        assert str(raised.value) == message
+
     def test_ascii_double_beyond_float32_kept(self):
         data = PLY_THREE_HEADER.replace(b"float x", b"double x") + b"1e300 0 0 1 2 3\n" * 3
         assert parse_cloud(data, CloudFormat.PLY_ASCII).xyz[0, 0] == 1e300

@@ -21,7 +21,6 @@ from cedkit import (
     ablation_sweep,
     add_gaussian_noise,
     apply_rigid_transform,
-    ced_detector,
     detect,
     evaluate_repeatability,
     generate_scene,
@@ -86,7 +85,7 @@ class TestEvaluateRepeatability:
         cloud = random_colored_cloud(rng, 300)
         report = evaluate_repeatability(
             cloud,
-            ced_detector(DetectorParams(radius=0.25)),
+            DetectorParams(radius=0.25),
             RepeatabilityConfig(sigma=0.0, trials=1),
             transforms=[RigidTransform.identity()],
         )
@@ -115,7 +114,7 @@ class TestEvaluateRepeatability:
     def test_no_transforms_rejected(self, rng):
         cloud = random_colored_cloud(rng, 100)
         with pytest.raises(InvalidParamsError, match="at least one transform"):
-            evaluate_repeatability(cloud, ced_detector(DetectorParams(radius=0.25)),
+            evaluate_repeatability(cloud, DetectorParams(radius=0.25),
                                    RepeatabilityConfig(sigma=0.0), transforms=[])
 
     def test_empty_source_flagged(self, rng):
@@ -131,11 +130,10 @@ class TestEvaluateRepeatability:
     def test_matches_brute_force_matching(self):
         cloud = room()
         params = DetectorParams(radius=0.052, geo_threshold=0.4, color_threshold=0.6)
-        detector = ced_detector(params)
         transform = sample_rigid_transform(np.random.default_rng(17))
         report = evaluate_repeatability(
             cloud,
-            detector,
+            params,
             RepeatabilityConfig(sigma=0.0, trials=1),
             transforms=[transform],
         )
@@ -249,7 +247,7 @@ class TestCopyWindow:
         config = RepeatabilityConfig(epsilon=epsilon, sigma=0.005, trials=3, noise_seed=7)
         rng = np.random.default_rng(11)
         transforms = [sample_rigid_transform(rng) for _ in range(config.trials)]
-        report = evaluate_repeatability(cloud, ced_detector(params), config, transforms)
+        report = evaluate_repeatability(cloud, params, config, transforms)
         assert report.total_keypoints > 0
         assert list(report.per_trial) == whole_copy_ratios(cloud, params, config, transforms)
         assert detected_sizes[0] == len(cloud)
@@ -268,7 +266,7 @@ class TestCopyWindow:
         monkeypatch.setattr(cedkit.evaluation, "prepare", recording_prepare)
         params = DetectorParams(radius=0.052, geo_threshold=0.4, color_threshold=0.6)
         config = RepeatabilityConfig(epsilon=0.02, sigma=0.005, trials=3)
-        evaluate_repeatability(room(extent=0.8), ced_detector(params), config)
+        evaluate_repeatability(room(extent=0.8), params, config)
         assert len(cores) == config.trials
         assert all(core.shape == (size,) and 0 < np.count_nonzero(core) < size
                    for size, core in cores)
@@ -310,7 +308,7 @@ class TestCopyWindow:
 
         monkeypatch.setattr(cedkit.detector, "build_index", counting_build)
         config = RepeatabilityConfig(epsilon=0.02, sigma=100.0, trials=3)
-        report = evaluate_repeatability(cloud, ced_detector(params), config)
+        report = evaluate_repeatability(cloud, params, config)
         assert report.total_keypoints > 0
         assert report.per_trial == (0.0, 0.0, 0.0)
         rows = ablation_sweep(cloud, [0.1, 0.2], [0.1], params, config)
@@ -357,15 +355,24 @@ class TestWindowFromSourceFrame:
                 assert sigma == 100.0 or 0 < np.count_nonzero(mask) < len(cloud)
 
 
+class TestDetectorArgument:
+    @pytest.mark.parametrize("evaluate", [evaluate_repeatability, measure_runtime])
+    @pytest.mark.parametrize("detector", ["ced", None])
+    def test_neither_params_nor_callable_rejected(self, rng, evaluate, detector):
+        cloud = random_colored_cloud(rng, 50)
+        with pytest.raises(InvalidParamsError, match="DetectorParams or a callable"):
+            evaluate(cloud, detector)
+
+
 class TestMeasureRuntime:
     def test_small_cloud_is_fast(self, rng):
         cloud = random_colored_cloud(rng, 10)
-        stats = measure_runtime(cloud, ced_detector(DetectorParams(radius=0.3)), repetitions=3)
+        stats = measure_runtime(cloud, DetectorParams(radius=0.3), repetitions=3)
         assert all(s < 0.01 for s in stats.samples)
 
     def test_sample_count(self, rng):
         cloud = random_colored_cloud(rng, 50)
-        stats = measure_runtime(cloud, ced_detector(DetectorParams(radius=0.3)), repetitions=5)
+        stats = measure_runtime(cloud, DetectorParams(radius=0.3), repetitions=5)
         assert len(stats.samples) == 5
         assert stats.min_seconds <= stats.median_seconds
         assert stats.min_seconds <= stats.mean_seconds
@@ -373,13 +380,13 @@ class TestMeasureRuntime:
     def test_repetition_floor(self, rng):
         cloud = random_colored_cloud(rng, 10)
         with pytest.raises(InvalidParamsError):
-            measure_runtime(cloud, ced_detector(DetectorParams(radius=0.3)), repetitions=2)
+            measure_runtime(cloud, DetectorParams(radius=0.3), repetitions=2)
 
     @pytest.mark.parametrize("value", [3.5, 4.0, "3", None, True])
     def test_repetitions_must_be_an_integer(self, rng, value):
         cloud = random_colored_cloud(rng, 10)
         with pytest.raises(InvalidParamsError, match="repetitions must be an integer >= 3"):
-            measure_runtime(cloud, ced_detector(DetectorParams(radius=0.3)), repetitions=value)
+            measure_runtime(cloud, DetectorParams(radius=0.3), repetitions=value)
 
 
 class TestAblationSweep:
@@ -400,7 +407,7 @@ class TestAblationSweep:
         config = RepeatabilityConfig(sigma=0.0, trials=2, transform_seed=5)
         [row] = ablation_sweep(cloud, [0.3], [0.2], base, config)
         params = DetectorParams(radius=0.25, geo_threshold=0.3, color_threshold=0.2)
-        report = evaluate_repeatability(cloud, ced_detector(params), config)
+        report = evaluate_repeatability(cloud, params, config)
         assert row.keypoint_count == report.total_keypoints
         assert row.repeatability == report.relative_repeatability
 
@@ -412,7 +419,7 @@ class TestAblationSweep:
         assert len({row.keypoint_count for row in rows}) > 2
         for row in rows:
             params = replace(base, geo_threshold=row.geo_threshold, color_threshold=row.color_threshold)
-            report = evaluate_repeatability(cloud, ced_detector(params), config)
+            report = evaluate_repeatability(cloud, params, config)
             assert row.keypoint_count == report.total_keypoints
             assert row.repeatability == report.relative_repeatability
 
@@ -460,7 +467,7 @@ class TestCsvRenderers:
     def test_repeatability_csv_equals_per_value_reference(self, rng):
         cloud = random_colored_cloud(rng, 200)
         measured = evaluate_repeatability(
-            cloud, ced_detector(DetectorParams(radius=0.25)),
+            cloud, DetectorParams(radius=0.25),
             RepeatabilityConfig(sigma=0.01, trials=3))
         perfect = RepeatabilityReport(7, 7.0, 1.0, 0.0123456789012, 1)
         empty = RepeatabilityReport(0, 0.0, 0, 2.5e-5, 1, empty_keypoint_set=True)
@@ -475,7 +482,7 @@ class TestCsvRenderers:
 
     def test_runtime_csv_equals_per_value_reference(self, rng):
         cloud = random_colored_cloud(rng, 30)
-        measured = measure_runtime(cloud, ced_detector(DetectorParams(radius=0.3)), 3)
+        measured = measure_runtime(cloud, DetectorParams(radius=0.3), 3)
         thirds = RuntimeStats(1 / 3, 0.25, 1e-7, (1 / 3, 0.25, 1e-7, 0.75))
         for stats in (measured, thirds):
             row = (stats.mean_seconds, stats.median_seconds, stats.min_seconds, len(stats.samples))
@@ -503,7 +510,7 @@ class TestCsvRenderers:
         cloud = random_colored_cloud(rng, 200)
         report = evaluate_repeatability(
             cloud,
-            ced_detector(DetectorParams(radius=0.25)),
+            DetectorParams(radius=0.25),
             RepeatabilityConfig(sigma=0.0, trials=1),
             transforms=[RigidTransform.identity()],
         )
@@ -516,7 +523,7 @@ class TestCsvRenderers:
 
     def test_runtime_csv(self, rng):
         cloud = random_colored_cloud(rng, 30)
-        stats = measure_runtime(cloud, ced_detector(DetectorParams(radius=0.3)), 3)
+        stats = measure_runtime(cloud, DetectorParams(radius=0.3), 3)
         lines = runtime_csv(stats).splitlines()
         assert lines[0] == "mean_seconds,median_seconds,min_seconds,repetitions"
         assert lines[1].endswith(",3")
