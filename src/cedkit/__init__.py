@@ -14,18 +14,15 @@ from .cloud import (
 )
 from .cloudio import CloudFormat, parse_cloud, sniff_format, write_cloud
 from .detector import (
-    DetectionResult,
     DetectorMode,
     DetectorParams,
     KeypointSet,
     PreparedCloud,
     SaliencyField,
     detect,
-    detect_with_fields,
     export_keypoints_csv,
     export_keypoints_ply,
     local_maxima,
-    multimodal_nms,
     prepare,
     select,
 )
@@ -41,14 +38,13 @@ from .evaluation import (
     random_detector,
     sample_rigid_transform,
 )
-from .index import NeighborGraph, SpatialIndex, build_index
+from .index import NeighborGraph, build_index
 from .scenes import SceneKind, SceneSpec, generate_scene
 
 __all__ = [
     "AblationRow",
     "CloudFormat",
     "ColoredPointCloud",
-    "DetectionResult",
     "DetectorMode",
     "DetectorParams",
     "KeypointSet",
@@ -61,21 +57,18 @@ __all__ = [
     "SaliencyField",
     "SceneKind",
     "SceneSpec",
-    "SpatialIndex",
     "ablation_sweep",
     "add_gaussian_noise",
     "apply_rigid_transform",
     "build_index",
     "detect",
     "detect_random",
-    "detect_with_fields",
     "evaluate_repeatability",
     "export_keypoints_csv",
     "export_keypoints_ply",
     "generate_scene",
     "local_maxima",
     "measure_runtime",
-    "multimodal_nms",
     "parse_cloud",
     "prepare",
     "random_detector",

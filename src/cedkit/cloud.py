@@ -114,18 +114,25 @@ class ColoredPointCloud:
 class RigidTransform:
     """Rotation plus translation; construction validates the rotation.
 
-    The rotation must be orthonormal with determinant +1 within 1e-9,
-    otherwise InvalidTransformError is raised.
+    The rotation must be a finite 3x3 array, orthonormal with determinant +1
+    within 1e-9, and the translation three finite numbers; otherwise
+    InvalidTransformError is raised.
     """
 
     rotation: np.ndarray
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        rot = frozen_copy(self.rotation)
-        trans = frozen_copy(self.translation).reshape(3)
-        if rot.shape != (3, 3):
-            raise InvalidTransformError(f"rotation must be 3x3, got {rot.shape}")
+        try:
+            rot, trans = frozen_copy(self.rotation), frozen_copy(self.translation)
+        except (TypeError, ValueError) as exc:
+            raise InvalidTransformError(f"rotation and translation must be numeric: {exc}") from exc
+        if rot.shape != (3, 3) or trans.size != 3:
+            raise InvalidTransformError(
+                f"need a 3x3 rotation and 3 translation values, got {rot.shape} and {trans.shape}")
+        if not (np.isfinite(rot).all() and np.isfinite(trans).all()):
+            raise InvalidTransformError("rotation and translation must be finite")
+        trans = trans.reshape(3)
         defect = np.abs(rot.T @ rot - np.eye(3)).max()
         if defect > ROTATION_TOLERANCE:
             raise InvalidTransformError(f"rotation not orthonormal (defect {defect:.3e})")

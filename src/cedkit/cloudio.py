@@ -102,13 +102,14 @@ def parse_cloud(data: bytes, fmt: CloudFormat) -> ColoredPointCloud:
             float32's range.
         NonFiniteValueError: a coordinate or color is NaN or infinite (the
             cloud's constructor checks; PCD checks its packed rgb float).
+        InvalidParamsError: fmt is not a CloudFormat.
     """
     if fmt in (CloudFormat.PLY_ASCII, CloudFormat.PLY_BINARY_LE):
         header = _ply_header
     elif fmt is CloudFormat.PCD_ASCII:
         header = _pcd_header
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        raise _unknown_format(fmt)
     layout, count, fields, start = header(data)
     if layout is not fmt:
         raise MalformedHeaderError(f"header declares {layout.value}, not {fmt.value}")
@@ -119,13 +120,19 @@ def write_cloud(cloud: ColoredPointCloud, fmt: CloudFormat) -> bytes:
     """Serialize a cloud; parse_cloud(write_cloud(c, f), f) round-trips.
 
     An empty cloud is written as a header that declares 0 records. Raises
-    InvalidParamsError for a coordinate that overflows float32.
+    InvalidParamsError for a coordinate that overflows float32, or for a fmt
+    that is not a CloudFormat.
     """
     if fmt in (CloudFormat.PLY_ASCII, CloudFormat.PLY_BINARY_LE):
         return _write_ply(cloud, fmt)
     if fmt is CloudFormat.PCD_ASCII:
         return _write_pcd(cloud)
-    raise ValueError(f"unknown format {fmt!r}")
+    raise _unknown_format(fmt)
+
+
+def _unknown_format(fmt) -> InvalidParamsError:
+    names = ", ".join(f.name for f in CloudFormat)
+    return InvalidParamsError(f"fmt must be a CloudFormat ({names}), got {fmt!r}")
 
 
 def sniff_format(data: bytes) -> CloudFormat:

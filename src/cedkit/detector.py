@@ -301,20 +301,9 @@ def multimodal_nms(
     meets its threshold (values are compared with >=). Invalid points are
     never selected and never suppress others.
 
-    Returns ascending indices of the selected points. Raises
-    MisalignedFieldsError unless local_max holds one flag per point.
+    Returns ascending indices of the selected points. The arguments are not
+    checked: select passes those of a PreparedCloud, which checked them.
     """
-    if len(thresholds) != len(fields):
-        raise MisalignedFieldsError(
-            f"{len(fields)} fields but {len(thresholds)} thresholds"
-        )
-    local_max = np.asarray(local_max, dtype=bool)
-    if local_max.ndim != 1:
-        raise MisalignedFieldsError(
-            f"local_max must be a per-point mask, got shape {local_max.shape}"
-        )
-    _check_fields(fields, local_max.shape[0])
-
     passes_filter = np.zeros(local_max.shape[0], dtype=bool)
     for field, threshold in zip(fields, thresholds):
         passes_filter |= field.values >= threshold
@@ -330,6 +319,10 @@ class PreparedCloud:
 
     params: the parameters the cloud was prepared with.
     local_max: points that suppression keeps (see local_maxima).
+
+    Construction checks that the record is aligned: a photometric field in
+    CED mode and none in CED_3D, and one entry per point in every field and
+    in local_max; MisalignedFieldsError otherwise.
     """
 
     params: DetectorParams
@@ -339,6 +332,11 @@ class PreparedCloud:
 
     def __post_init__(self):
         object.__setattr__(self, "local_max", frozen_copy(self.local_max, bool))
+        if (self.photometric is None) == (self.params.mode is DetectorMode.CED):
+            raise MisalignedFieldsError("a photometric field comes with CED mode, and only with it")
+        shapes = {self.local_max.shape} | {field.values.shape for field in self.fields}
+        if shapes != {self.geometric.values.shape}:
+            raise MisalignedFieldsError(f"fields and local_max differ in shape: {sorted(shapes)}")
 
     @property
     def fields(self) -> list[SaliencyField]:

@@ -327,6 +327,29 @@ class TestNegativeSeed:
         assert not out.exists()
 
 
+class TestUnparseableValues:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["detect", "--seed", "abc"],
+             "argument --seed: seed must be an integer or 'random': 'abc'"),
+            (["synth", "--kind", "plane", "--seed", "abc"],
+             "argument --seed: seed must be an integer or 'random': 'abc'"),
+            (["ablate", "--tg", "0.1,x"],
+             "argument --tg: expected comma-separated floats: '0.1,x'"),
+        ],
+        ids=["detect-seed", "synth-seed", "ablate-tg"],
+    )
+    def test_usage_error_names_the_value(self, tiny_ply, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.ply"
+        source = [] if argv[0] == "synth" else ["-i", str(tiny_ply)]
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], *source, "-o", str(out), *argv[1:]])
+        assert excinfo.value.code == 2
+        assert f"cedkit {argv[0]}: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOutOfMemory:
     @pytest.mark.parametrize("command", ["detect", "repeat", "ablate"])
     @pytest.mark.parametrize("message", ["std::bad_alloc", ""])

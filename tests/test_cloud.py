@@ -5,6 +5,7 @@ import pytest
 
 from cedkit import (
     ColoredPointCloud,
+    DetectorMode,
     DetectorParams,
     KeypointSet,
     PreparedCloud,
@@ -123,6 +124,20 @@ class TestRigidTransform:
             # orthonormal but determinant -1
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
+    @pytest.mark.parametrize("build", [
+        lambda: RigidTransform(np.full((3, 3), np.nan)),
+        lambda: RigidTransform(np.eye(3), [np.inf, 0.0, 0.0]),
+        lambda: RigidTransform(np.eye(3), [1.0, 2.0]),
+        lambda: RigidTransform("x"),
+        lambda: apply_rigid_transform(make_cloud([[0, 0, 0]]), "x"),
+    ], ids=["nan-rotation", "inf-translation", "two-translation-values", "string-rotation",
+            "not-a-transform"])
+    def test_not_a_rigid_motion_rejected_when_built(self, build):
+        # a NaN rotation is rejected before its determinant is taken, so no
+        # numpy warning is emitted (the suite turns warnings into failures)
+        with pytest.raises(InvalidTransformError):
+            build()
+
     def test_sampled_transforms_satisfy_invariants(self, rng):
         for _ in range(25):
             transform = sample_rigid_transform(rng)
@@ -175,7 +190,8 @@ class TestGaussianNoise:
 
 def _prepared(local_max):
     field = SaliencyField(np.ones(3), np.ones(3, dtype=bool))
-    return PreparedCloud(DetectorParams(radius=0.1), field, None, local_max)
+    return PreparedCloud(DetectorParams(radius=0.1, mode=DetectorMode.CED_3D), field, None,
+                         local_max)
 
 
 class TestValueTypesKeepTheirOwnCopies:

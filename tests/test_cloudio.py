@@ -219,6 +219,15 @@ class TestWriteAndRoundTrip:
         assert len(parsed) == 0
         assert parsed.has_color == has_color
 
+    @pytest.mark.parametrize("call", [
+        lambda fmt: parse_cloud(PLY_ONE_RED, fmt),
+        lambda fmt: write_cloud(parse_cloud(PLY_ONE_RED, CloudFormat.PLY_ASCII), fmt),
+    ], ids=["parse", "write"])
+    @pytest.mark.parametrize("fmt", ["ply", None])
+    def test_format_that_is_not_a_cloud_format_rejected(self, call, fmt):
+        with pytest.raises(InvalidParamsError, match="PLY_ASCII, PLY_BINARY_LE, PCD_ASCII"):
+            call(fmt)
+
     @pytest.mark.parametrize("fmt", list(CloudFormat))
     @pytest.mark.parametrize("has_color", [True, False])
     def test_coordinates_beyond_float32_rejected(self, fmt, has_color):
@@ -534,6 +543,26 @@ class TestSniff:
     def test_undeclared_or_unsupported_layout_rejected(self, data):
         with pytest.raises(MalformedHeaderError):
             sniff_format(data)
+
+    @pytest.mark.parametrize("read", [sniff_format,
+                                      lambda data: parse_cloud(data, CloudFormat.PLY_ASCII)],
+                             ids=["sniff", "parse"])
+    @pytest.mark.parametrize("edit, error, message", [
+        ((b"end_header\n", b"end_header"), MalformedHeaderError,
+         "header terminator not followed by a newline"),
+        ((b"element vertex", b"property float w\nelement vertex"), MalformedHeaderError,
+         "property declared before any element"),
+        ((b"element vertex", b"element camera 1\nproperty float w\nelement vertex"),
+         UnsupportedPropertyError, "non-empty elements before vertex are not supported"),
+        ((b"property uchar red", b"property float x\nproperty uchar red"),
+         MalformedHeaderError, "duplicate vertex property"),
+    ], ids=["no-newline-after-terminator", "property-before-element",
+            "element-before-vertex", "duplicate-property"])
+    def test_bad_ply_header_rejected_typed(self, read, edit, error, message):
+        # the body is dropped: each of these fails on the header alone
+        data = (PLY_ONE_RED.split(b"end_header\n")[0] + b"end_header\n").replace(*edit)
+        with pytest.raises(error, match=message):
+            read(data)
 
     @pytest.mark.parametrize("read", [sniff_format,
                                       lambda data: parse_cloud(data, CloudFormat.PCD_ASCII)],

@@ -19,12 +19,10 @@ from cedkit import (
     apply_rigid_transform,
     build_index,
     detect,
-    detect_with_fields,
     export_keypoints_csv,
     export_keypoints_ply,
     generate_scene,
     local_maxima,
-    multimodal_nms,
     parse_cloud,
     prepare,
     sample_rigid_transform,
@@ -35,6 +33,7 @@ from cedkit.errors import (
     MisalignedFieldsError,
     NoColorError,
 )
+from cedkit.detector import detect_with_fields, multimodal_nms
 from cedkit.index import NeighborGraph
 from oracles import (
     compensated_mean,
@@ -474,12 +473,19 @@ class TestMultimodalNms:
         field = SaliencyField(np.zeros(len(small_cloud)), np.ones(len(small_cloud), bool))
         short = SaliencyField(np.zeros(10), np.ones(10, bool))
         mask = local_maxima([field], graph)
+        ced = DetectorParams(radius=0.2)
+        ced3d = replace(ced, mode=DetectorMode.CED_3D)
+        # PreparedCloud checks at construction what select hands multimodal_nms
+        for params, geometric, photometric in [
+            (ced, field, None),      # two thresholds for one field
+            (ced3d, field, field),   # one threshold for two fields
+            (ced3d, short, None),
+            (ced, field, short),
+        ]:
+            with pytest.raises(MisalignedFieldsError):
+                PreparedCloud(params, geometric, photometric, mask)
         with pytest.raises(MisalignedFieldsError):
-            multimodal_nms([field], [0.1, 0.2], mask)
-        with pytest.raises(MisalignedFieldsError):
-            multimodal_nms([short], [0.1], mask)
-        with pytest.raises(MisalignedFieldsError):
-            multimodal_nms([], [], mask)
+            local_maxima([], graph)
         with pytest.raises(MisalignedFieldsError):
             local_maxima([short], graph)
 
@@ -487,9 +493,10 @@ class TestMultimodalNms:
         graph = build_index(small_cloud).neighbor_graph(0.2)
         field = SaliencyField(np.zeros(len(small_cloud)), np.ones(len(small_cloud), bool))
         mask = local_maxima([field], graph)
+        params = DetectorParams(radius=0.2, mode=DetectorMode.CED_3D)
         for wrong in (mask[:-1], mask[:, None], mask[0], graph):
             with pytest.raises(MisalignedFieldsError):
-                multimodal_nms([field], [0.1], wrong)
+                PreparedCloud(params, field, None, wrong)
 
     def test_mask_step_equals_graph_step(self, rng):
         cloud = random_colored_cloud(rng, 250)
@@ -510,7 +517,7 @@ class TestMultimodalNms:
                 ),
             )
         with pytest.raises(MisalignedFieldsError):
-            multimodal_nms(fields, [0.1, 0.1], mask[:-1])
+            PreparedCloud(params, *fields, mask[:-1])
 
 
 class TestPrepareSelect:
